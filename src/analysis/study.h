@@ -198,17 +198,14 @@ struct StudyResult {
 
   bool has_wc = false;
   SearchStrategy wc_strategy = SearchStrategy::Random;
-  /// The partial-order-reduction policy the search actually ran under
-  /// (DFS strategies; Random reports Off). Under ReductionPolicy::Hybrid
-  /// this is the probe winner — Off or SourceDpor — so the per-cell
-  /// choice is auditable; wc_reduction_requested keeps the configured
-  /// policy. Counters: races the source-DPOR race detector found over
-  /// executed traces, backtrack points it inserted (source-set +
-  /// cut-point placements), enabled branches the sleep sets skipped, and
-  /// subtrees the visited caches pruned (under SourceDpor: the
-  /// sleep-set-aware SleepCache hits of stateful DPOR).
+  /// The partial-order-reduction policy the search ran under (DFS
+  /// strategies; Random reports Off), serialized as both "policy" and
+  /// "requested". Counters: races the source-DPOR race detector found over
+  /// executed traces, backtrack points it inserted (source-set + cut-point
+  /// placements), enabled branches the sleep sets skipped, and subtrees
+  /// the visited caches pruned (under SourceDpor: the sleep-set-aware
+  /// SleepCache hits of stateful DPOR).
   ReductionPolicy wc_reduction = ReductionPolicy::Off;
-  ReductionPolicy wc_reduction_requested = ReductionPolicy::Off;
   std::uint64_t races_detected = 0;
   std::uint64_t backtrack_points = 0;
   std::uint64_t sleep_blocked = 0;

@@ -132,24 +132,4 @@ bool dependent(const StepSummary& taken, const NextStep& pend,
   return false;
 }
 
-bool lite_independent(const NextStep& a, const NextStep& b) {
-  return lite_independent(a, b, nullptr);
-}
-
-bool lite_independent(const NextStep& a, const NextStep& b,
-                      std::uint64_t* refined_pairs) {
-  if (!a.known || !b.known) {
-    return false;
-  }
-  const bool independent = a.yield || b.yield || a.reg != b.reg;
-  // The register-only relation refines exactly when a statically
-  // synthesized pend stands in for what the dynamic capture reports as
-  // unknown (and hence never-independent).
-  if (independent && refined_pairs != nullptr &&
-      (a.statically_known || b.statically_known)) {
-    ++*refined_pairs;
-  }
-  return independent;
-}
-
 }  // namespace cfc

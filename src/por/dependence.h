@@ -157,19 +157,6 @@ struct NextStep {
 [[nodiscard]] bool dependent(const StepSummary& taken, const NextStep& pend,
                              std::uint64_t* refined_pairs);
 
-/// PR 4's sleep-set-lite independence over two pending steps, kept verbatim
-/// for the `sleep-lite` compatibility policy: local yields are independent
-/// of everything and any two accesses of distinct registers commute —
-/// register-only, NOT measurement-aware (window objectives may observe the
-/// section timing it commutes), which is why sleep-lite stays off for
-/// certified window searches.
-[[nodiscard]] bool lite_independent(const NextStep& a, const NextStep& b);
-
-/// As above, with the refined-pair counter (statically synthesized pends
-/// can make pairs independent the dynamic capture could not know).
-[[nodiscard]] bool lite_independent(const NextStep& a, const NextStep& b,
-                                    std::uint64_t* refined_pairs);
-
 }  // namespace cfc
 
 #endif  // CFC_POR_DEPENDENCE_H

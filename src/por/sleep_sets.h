@@ -15,8 +15,9 @@ inline constexpr int kMaxPorProcs = 32;
 /// A sleep set: the processes whose next unit, taken from the current
 /// state, starts only schedules that are reorderings of schedules already
 /// explored through an earlier sibling (Godefroid's sleep sets). The
-/// explorer folds the raw mask into its visited-state key, so the
-/// representation stays a transparent 32-bit mask with set-algebra helpers.
+/// explorer stores the raw mask in its sleep-set-aware cache (SleepCache)
+/// and in work items, so the representation stays a transparent 32-bit
+/// mask with set-algebra helpers.
 class SleepSet {
  public:
   constexpr SleepSet() = default;
@@ -51,14 +52,6 @@ class SleepSet {
                                       const StepSummary& taken,
                                       std::span<const NextStep> pends,
                                       std::uint64_t* refined_pairs = nullptr);
-
-/// PR 4's sleep-set-lite transfer, kept verbatim for the `sleep-lite`
-/// compatibility policy: both sides are the *pending* captures from the
-/// parent node, compared under the register-only lite_independent
-/// relation.
-[[nodiscard]] SleepSet transfer_sleep_lite(
-    SleepSet candidates, const NextStep& taken,
-    std::span<const NextStep> pends, std::uint64_t* refined_pairs = nullptr);
 
 }  // namespace cfc
 

@@ -1,18 +1,20 @@
-// Recycled-rewind fidelity: Sim::rewind_to must reposition the LIVE
-// simulation at any prefix of its own schedule log indistinguishably from
-// Sim::fork of a checkpoint taken there — across every registry algorithm,
-// including crash injection — and the Explorer's rewind restore path must
-// produce bit-identical search results to the retained legacy
-// fork-by-replay path, with zero Sim constructions per restore and frame
-// recreation served entirely from the arena pool after warm-up.
+// Restore fidelity. Sim level: Sim::rewind_to and Sim::rewind_to_mark must
+// reposition the LIVE simulation at any prefix of its own schedule log
+// indistinguishably from Sim::fork of a checkpoint taken there — across
+// every registry algorithm, including crash injection — with frame
+// recreation served from the arena pool after warm-up. Explorer level: the
+// mark-restoring Explorer must certify exactly what a from-scratch oracle
+// finds, a plain DFS that rebuilds every child with Sim::fork and uses no
+// marks, cache or partial-order reduction.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "analysis/experiment.h"
+#include "analysis/explorer.h"
 #include "core/algorithm_registry.h"
+#include "core/contention_detection.h"
 #include "core/state_fingerprint.h"
 #include "mutex/mutex_algorithm.h"
 #include "sched/sched.h"
@@ -194,140 +196,23 @@ TEST(Rewind, FrameRecreationIsServedFromThePoolAfterWarmup) {
   EXPECT_GT(live.frame_arena_stats().reused, 0u);
 }
 
-/// The Explorer-level differential: identical traversal, reports, and
-/// stats (except Sim constructions) between the recycled rewind and the
-/// legacy fork-by-replay restore paths.
-WorstCaseSearchOptions exhaustive_opts(int depth, bool by_fork,
-                                       bool verify_snapshot = false) {
-  WorstCaseSearchOptions o;
-  o.strategy = SearchStrategy::Exhaustive;
-  o.limits.max_depth = depth;
-  o.limits.restore_by_fork = by_fork;
-  o.limits.verify_restore_snapshot = verify_snapshot;
-  // These are full-replay differentials: disable the mark-based partial
-  // restore so replayed_steps stays comparable between the paths (the
-  // mark path is differential-tested separately below).
-  o.limits.restore_marks = false;
-  return o;
-}
-
-void expect_same_report(const ComplexityReport& a, const ComplexityReport& b) {
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.registers, b.registers);
-  EXPECT_EQ(a.read_steps, b.read_steps);
-  EXPECT_EQ(a.write_steps, b.write_steps);
-  EXPECT_EQ(a.read_registers, b.read_registers);
-  EXPECT_EQ(a.write_registers, b.write_registers);
-  EXPECT_EQ(a.atomicity, b.atomicity);
-  EXPECT_EQ(a.truncated, b.truncated);
-}
-
-TEST(Rewind, ExplorerPathsBitIdenticalAcrossAllRegistryMutexAlgorithms) {
-  for (const MutexAlgorithmEntry* e :
-       AlgorithmRegistry::instance().mutex_for_n(2)) {
-    SCOPED_TRACE(e->info.name);
-    const MutexWcSearchResult rewind = search_mutex_worst_case(
-        e->factory, 2, 1, exhaustive_opts(10, /*by_fork=*/false));
-    const MutexWcSearchResult fork = search_mutex_worst_case(
-        e->factory, 2, 1, exhaustive_opts(10, /*by_fork=*/true));
-    expect_same_report(rewind.entry, fork.entry);
-    expect_same_report(rewind.exit, fork.exit);
-    EXPECT_EQ(rewind.schedules_tried, fork.schedules_tried);
-    EXPECT_EQ(rewind.states_visited, fork.states_visited);
-    EXPECT_EQ(rewind.violations, fork.violations);
-    EXPECT_EQ(rewind.truncated, fork.truncated);
-    EXPECT_EQ(rewind.certified, fork.certified);
-  }
-}
-
-TEST(Rewind, ExplorerPathsBitIdenticalForDetectors) {
-  for (const DetectorAlgorithmEntry* e :
-       AlgorithmRegistry::instance().detector_algorithms()) {
-    SCOPED_TRACE(e->info.name);
-    const DetectorWcSearchResult rewind = search_detector_worst_case(
-        e->factory, 2, exhaustive_opts(14, /*by_fork=*/false));
-    const DetectorWcSearchResult fork = search_detector_worst_case(
-        e->factory, 2, exhaustive_opts(14, /*by_fork=*/true));
-    expect_same_report(rewind.best, fork.best);
-    EXPECT_EQ(rewind.schedules_tried, fork.schedules_tried);
-    EXPECT_EQ(rewind.states_visited, fork.states_visited);
-    EXPECT_EQ(rewind.certified, fork.certified);
-  }
-}
-
-TEST(Rewind, ExplorerPathsBitIdenticalUnderCrashInjection) {
-  // Crash plans set at setup are part of the rewind baseline; both restore
-  // paths must reproduce crashes identically mid-search.
-  const MutexFactory factory =
-      AlgorithmRegistry::instance().mutex("lamport-fast").factory;
-  auto run = [&](bool by_fork) {
-    Explorer::Config cfg;
-    cfg.nprocs = 2;
-    cfg.strategy = SearchStrategy::Exhaustive;
-    cfg.limits.max_depth = 12;
-    cfg.limits.restore_by_fork = by_fork;
-    cfg.limits.restore_marks = false;  // full-replay differential
-    cfg.setup = [&factory](Sim& sim) -> std::shared_ptr<void> {
-      auto alg = setup_mutex(sim, factory, 2, 1);
-      sim.crash_after(1, 2);
-      return std::shared_ptr<void>(std::move(alg));
-    };
-    return Explorer(cfg).run();
-  };
-  const Explorer::Result rewind = run(false);
-  const Explorer::Result fork = run(true);
-  EXPECT_EQ(rewind.stats.states_visited, fork.stats.states_visited);
-  EXPECT_EQ(rewind.stats.runs_completed, fork.stats.runs_completed);
-  EXPECT_EQ(rewind.stats.runs_truncated, fork.stats.runs_truncated);
-  EXPECT_EQ(rewind.stats.pruned_visited, fork.stats.pruned_visited);
-  EXPECT_EQ(rewind.stats.violations, fork.stats.violations);
-  EXPECT_EQ(rewind.stats.restores, fork.stats.restores);
-  EXPECT_EQ(rewind.stats.replayed_steps, fork.stats.replayed_steps);
-}
-
-TEST(Rewind, DebugSnapshotVerificationPasses) {
-  // verify_restore_snapshot compares full register values on every
-  // restore; on a deterministic setup it must change nothing.
-  const MutexFactory factory =
-      AlgorithmRegistry::instance().mutex("peterson-2p").factory;
-  const MutexWcSearchResult plain = search_mutex_worst_case(
-      factory, 2, 1, exhaustive_opts(10, /*by_fork=*/false));
-  const MutexWcSearchResult checked = search_mutex_worst_case(
-      factory, 2, 1,
-      exhaustive_opts(10, /*by_fork=*/false, /*verify_snapshot=*/true));
-  expect_same_report(plain.entry, checked.entry);
-  EXPECT_EQ(plain.states_visited, checked.states_visited);
-}
-
 TEST(Rewind, RestoresPerformZeroSimConstructions) {
-  // The acceptance assertion: with the recycled rewind, Sim construction
-  // count equals the frontier cell count no matter how many restores ran;
-  // the legacy path builds one extra Sim per restore.
-  WorstCaseSearchOptions rewind_opts = exhaustive_opts(14, false);
-  WorstCaseSearchOptions fork_opts = exhaustive_opts(14, true);
+  // With mark restores, Sim construction count equals the frontier cell
+  // count no matter how many restores ran.
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
   Explorer::Config cfg;
   cfg.nprocs = 2;
   cfg.strategy = SearchStrategy::Exhaustive;
-  cfg.limits = rewind_opts.limits;
+  cfg.limits.max_depth = 14;
   cfg.setup = [&factory](Sim& sim) -> std::shared_ptr<void> {
     return setup_mutex(sim, factory, 2, 1);
   };
-  const Explorer::Result rewind = Explorer(cfg).run();
-  cfg.limits = fork_opts.limits;
-  const Explorer::Result fork = Explorer(cfg).run();
-
-  ASSERT_GT(rewind.stats.restores, 0u);
-  EXPECT_EQ(rewind.stats.restores, fork.stats.restores);
-  // One Sim per frontier cell — and not one more, however many restores
-  // happened; the legacy path builds one extra per restore.
-  const std::size_t cells =
-      Explorer::frontier_cells(cfg.nprocs, rewind_opts.limits);
-  EXPECT_EQ(rewind.stats.sims_built, cells);
-  EXPECT_EQ(fork.stats.sims_built, cells + fork.stats.restores);
-  EXPECT_GT(rewind.stats.replayed_steps, 0u);
-  EXPECT_EQ(rewind.stats.replayed_steps, fork.stats.replayed_steps);
+  const Explorer::Result r = Explorer(cfg).run();
+  ASSERT_GT(r.stats.restores, 0u);
+  EXPECT_EQ(r.stats.sims_built, Explorer::frontier_cells(2, cfg.limits));
+  EXPECT_GT(r.stats.restore_marks, 0u);
+  EXPECT_GT(r.stats.value_replayed_steps, 0u);
 }
 
 /// Mark-based partial restore, sim level: capture a RewindMark mid-run,
@@ -385,45 +270,201 @@ TEST(Rewind, MarkRestoreMatchesForkUnderCrashInjection) {
   }
 }
 
-TEST(Rewind, MarkRestoreKeepsExplorerBitIdentical) {
-  // The explorer with restore_marks on must traverse the identical tree —
-  // every stat equal except the restore cost counters: mark restores
-  // re-execute nothing live (replayed_steps 0, the log re-feed counted
-  // in value_replayed_steps) where the full-replay rewind re-executes
-  // the whole prefix per sibling.
+void expect_same_report(const ComplexityReport& a, const ComplexityReport& b) {
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.registers, b.registers);
+  EXPECT_EQ(a.read_steps, b.read_steps);
+  EXPECT_EQ(a.write_steps, b.write_steps);
+  EXPECT_EQ(a.read_registers, b.read_registers);
+  EXPECT_EQ(a.write_registers, b.write_registers);
+  EXPECT_EQ(a.atomicity, b.atomicity);
+  EXPECT_EQ(a.truncated, b.truncated);
+}
+
+/// The from-scratch reference search: a plain DFS over every runnable
+/// pick up to `max_depth`, where every child is a fresh Sim::fork of its
+/// parent's schedule (setup + full replay) carrying a copy of the parent's
+/// accumulator. No marks, no rewind, no visited cache, no reduction: it
+/// shares only the simulator and the objective with the Explorer.
+class ForkOracle {
+ public:
+  explicit ForkOracle(const Explorer::Config& cfg) : cfg_(cfg) {}
+
+  void run() {
+    Sim root;
+    const std::shared_ptr<void> owner = cfg_.setup(root);
+    root.set_trace_recording(false);
+    MeasureAccumulator acc(cfg_.nprocs);
+    root.add_sink(acc);
+    visit(root, acc, 0);
+  }
+
+  std::vector<ComplexityReport> best;
+  std::uint64_t completed = 0;
+  std::uint64_t truncated = 0;
+  std::uint64_t violations = 0;
+
+ private:
+  void leaf(const Sim& sim, MeasureAccumulator& acc, bool cut) {
+    if (cut) {
+      ++truncated;
+      acc.mark_truncated();
+    } else {
+      ++completed;
+    }
+    const std::vector<ComplexityReport> values = cfg_.objective.eval(sim, acc);
+    if (best.empty()) {
+      best = values;
+      return;
+    }
+    for (std::size_t i = 0; i < best.size(); ++i) {
+      best[i] = best[i].max_with(values[i]);
+    }
+  }
+
+  void visit(const Sim& sim, MeasureAccumulator& acc, int depth) {
+    if (!sim.any_runnable()) {
+      leaf(sim, acc, /*cut=*/false);
+      return;
+    }
+    if (depth >= cfg_.limits.max_depth) {
+      leaf(sim, acc, /*cut=*/true);
+      return;
+    }
+    for (Pid p = 0; p < cfg_.nprocs; ++p) {
+      if (!sim.runnable(p)) {
+        continue;
+      }
+      std::shared_ptr<void> owner;
+      const SimBuilder rebuild = [&](Sim& s) {
+        owner = cfg_.setup(s);
+        s.set_trace_recording(false);
+      };
+      const std::unique_ptr<Sim> child =
+          Sim::fork(std::span(sim.schedule_log()), /*expect_fingerprint=*/0,
+                    /*expect_seq=*/0, rebuild);
+      MeasureAccumulator child_acc = acc;
+      child->add_sink(child_acc);
+      try {
+        child->step(p);
+      } catch (const MutualExclusionViolation&) {
+        ++violations;
+        continue;
+      }
+      visit(*child, child_acc, depth + 1);
+    }
+  }
+
+  const Explorer::Config& cfg_;
+};
+
+/// The Explorer's certified answer must equal the oracle's under every
+/// remaining configuration: Off with and without the visited cache, and
+/// stateful source-DPOR. Without the cache the Off search walks the same
+/// tree, so its leaf counts and violation count must match exactly too.
+void expect_explorer_matches_oracle(Explorer::Config cfg) {
+  ForkOracle oracle(cfg);
+  oracle.run();
+  ASSERT_FALSE(oracle.best.empty());
+
+  struct Variant {
+    const char* what;
+    ReductionPolicy policy;
+    bool prune;
+  };
+  for (const Variant v : {Variant{"off, pruning off", ReductionPolicy::Off,
+                                  false},
+                          Variant{"off, pruning on", ReductionPolicy::Off, true},
+                          Variant{"source-dpor", ReductionPolicy::SourceDpor,
+                                  true}}) {
+    SCOPED_TRACE(v.what);
+    cfg.limits.reduction = v.policy;
+    cfg.limits.prune_visited = v.prune;
+    const Explorer::Result r = Explorer(cfg).run();
+    ASSERT_EQ(r.best.size(), oracle.best.size());
+    for (std::size_t i = 0; i < r.best.size(); ++i) {
+      expect_same_report(r.best[i], oracle.best[i]);
+    }
+    EXPECT_EQ(r.stats.violations > 0, oracle.violations > 0);
+    EXPECT_EQ(r.stats.truncated, oracle.truncated > 0);
+    EXPECT_FALSE(r.stats.state_budget_hit);  // certified, like the oracle
+    if (!v.prune) {
+      EXPECT_EQ(r.stats.runs_completed, oracle.completed);
+      EXPECT_EQ(r.stats.runs_truncated, oracle.truncated);
+      EXPECT_EQ(r.stats.violations, oracle.violations);
+    }
+  }
+}
+
+/// The mutex worst-case objective of the Study engine: clean-entry and
+/// exit window maxima over all processes, pruned on the window digest.
+Explorer::Config mutex_config(const MutexFactory& factory, int n, int depth,
+                              const std::vector<CrashPlan>& crashes = {}) {
+  Explorer::Config cfg;
+  cfg.nprocs = n;
+  cfg.strategy = SearchStrategy::Exhaustive;
+  cfg.limits.max_depth = depth;
+  cfg.setup = [factory, n, crashes](Sim& sim) -> std::shared_ptr<void> {
+    std::shared_ptr<void> alg = setup_mutex(sim, factory, n, 1);
+    for (const CrashPlan& c : crashes) {
+      sim.crash_after(c.pid, c.after_accesses);
+    }
+    return alg;
+  };
+  cfg.objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
+    ComplexityReport entry;
+    ComplexityReport exit;
+    for (Pid pid = 0; pid < n; ++pid) {
+      entry = entry.max_with(acc.clean_entry_max(pid));
+      exit = exit.max_with(acc.exit_max(pid));
+    }
+    return std::vector<ComplexityReport>{entry, exit};
+  };
+  cfg.objective.digest = [](const MeasureAccumulator& acc) {
+    return acc.window_digest();
+  };
+  return cfg;
+}
+
+TEST(Rewind, ExplorerMatchesForkOracleAcrossAllRegistryMutexAlgorithms) {
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(2)) {
     SCOPED_TRACE(e->info.name);
-    const MutexFactory factory = e->factory;
+    expect_explorer_matches_oracle(mutex_config(e->factory, 2, 10));
+  }
+}
+
+TEST(Rewind, ExplorerMatchesForkOracleForDetectors) {
+  // The detector worst-case objective: whole-run totals, max over
+  // processes, pruned on the default (whole-accumulator) digest.
+  for (const DetectorAlgorithmEntry* e :
+       AlgorithmRegistry::instance().detector_algorithms()) {
+    SCOPED_TRACE(e->info.name);
+    const DetectorFactory factory = e->factory;
     Explorer::Config cfg;
     cfg.nprocs = 2;
     cfg.strategy = SearchStrategy::Exhaustive;
-    cfg.limits.max_depth = 12;
-    cfg.setup = [&factory](Sim& sim) -> std::shared_ptr<void> {
-      return setup_mutex(sim, factory, 2, 1);
+    cfg.limits.max_depth = 14;
+    cfg.setup = [factory](Sim& sim) -> std::shared_ptr<void> {
+      return setup_detection(sim, factory, 2);
     };
-    cfg.limits.restore_marks = true;
-    const Explorer::Result marked = Explorer(cfg).run();
-    cfg.limits.restore_marks = false;
-    const Explorer::Result plain = Explorer(cfg).run();
-
-    EXPECT_EQ(marked.stats.states_visited, plain.stats.states_visited);
-    EXPECT_EQ(marked.stats.runs_completed, plain.stats.runs_completed);
-    EXPECT_EQ(marked.stats.runs_truncated, plain.stats.runs_truncated);
-    EXPECT_EQ(marked.stats.pruned_visited, plain.stats.pruned_visited);
-    EXPECT_EQ(marked.stats.violations, plain.stats.violations);
-    EXPECT_EQ(marked.stats.restores, plain.stats.restores);
-    EXPECT_EQ(marked.stats.sims_built, plain.stats.sims_built);
-    ASSERT_GT(marked.stats.restore_marks, 0u);
-    EXPECT_EQ(plain.stats.restore_marks, 0u);
-    ASSERT_GT(plain.stats.replayed_steps, 0u);
-    EXPECT_EQ(plain.stats.value_replayed_steps, 0u);
-    EXPECT_EQ(marked.stats.replayed_steps, 0u);
-    ASSERT_GT(marked.stats.value_replayed_steps, 0u);
-    // The partial restore's whole point: the cheap re-feed touches no
-    // more units than the full replay re-executed, usually far fewer.
-    EXPECT_LE(marked.stats.value_replayed_steps, plain.stats.replayed_steps);
+    cfg.objective.eval = [](const Sim&, const MeasureAccumulator& acc) {
+      ComplexityReport best;
+      for (Pid pid = 0; pid < 2; ++pid) {
+        best = best.max_with(acc.total(pid));
+      }
+      return std::vector<ComplexityReport>{best};
+    };
+    expect_explorer_matches_oracle(cfg);
   }
+}
+
+TEST(Rewind, ExplorerMatchesForkOracleUnderCrashInjection) {
+  // Crash plans set at setup are part of the rewind baseline; marks must
+  // reproduce crashes mid-search exactly as a from-scratch replay does.
+  expect_explorer_matches_oracle(mutex_config(
+      AlgorithmRegistry::instance().mutex("lamport-fast").factory, 2, 12,
+      {{1, 2}}));
 }
 
 }  // namespace

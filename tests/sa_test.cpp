@@ -555,8 +555,7 @@ TEST(SaStudy, StaticRefineFlagFlowsIntoStudyJson) {
   relimit.max_depth = 12;
   refined.limits(relimit);
   EXPECT_TRUE(refined.search.limits.static_refine);
-  EXPECT_EQ(effective_reduction(refined.search.limits),
-            ReductionPolicy::SourceDpor);
+  EXPECT_EQ(refined.search.limits.reduction, ReductionPolicy::SourceDpor);
 
   const StudyResult a = run_study(base);
   const StudyResult b = run_study(refined);

@@ -45,10 +45,7 @@ StudyResult golden_fixture() {
   r.measured_atomicity = 1;
   r.has_wc = true;
   r.wc_strategy = SearchStrategy::Exhaustive;
-  // requested != used: the hybrid probe picked source-dpor — exercises
-  // the auditable-choice pair of the stateful/hybrid schema extension.
   r.wc_reduction = ReductionPolicy::SourceDpor;
-  r.wc_reduction_requested = ReductionPolicy::Hybrid;
   r.races_detected = 21;
   r.backtrack_points = 9;
   r.sleep_blocked = 4;
@@ -121,7 +118,6 @@ TEST(StudyJson, RoundTripsByteIdentically) {
   EXPECT_EQ(parsed.has_wc, original.has_wc);
   EXPECT_EQ(parsed.wc_strategy, original.wc_strategy);
   EXPECT_EQ(parsed.wc_reduction, original.wc_reduction);
-  EXPECT_EQ(parsed.wc_reduction_requested, original.wc_reduction_requested);
   EXPECT_EQ(parsed.races_detected, original.races_detected);
   EXPECT_EQ(parsed.backtrack_points, original.backtrack_points);
   EXPECT_EQ(parsed.sleep_blocked, original.sleep_blocked);
@@ -238,12 +234,11 @@ TEST(StudyJson, ParallelCountersOptionalForPreParallelPayloads) {
 }
 
 TEST(StudyJson, StatefulCountersOptionalForPreStatefulPayloads) {
-  // Payloads written before stateful/hybrid DPOR carry a reduction object
-  // without requested/cache_hits and a wc object without frontier_clamped;
-  // they parse with requested defaulting to the used policy (the two never
-  // diverged before hybrid), zero cache hits, and an unclamped frontier.
+  // Payloads written before stateful DPOR carry a reduction object without
+  // requested/cache_hits and a wc object without frontier_clamped; they
+  // parse with zero cache hits and an unclamped frontier.
   std::string json = to_json(golden_fixture());
-  const std::string req = ", \"requested\": \"hybrid\"";
+  const std::string req = ", \"requested\": \"source-dpor\"";
   const std::size_t rat = json.find(req);
   ASSERT_NE(rat, std::string::npos);
   json.erase(rat, req.size());
@@ -257,7 +252,6 @@ TEST(StudyJson, StatefulCountersOptionalForPreStatefulPayloads) {
   json.erase(fat, fc.size());
   const StudyResult parsed = study_from_json(json);
   EXPECT_EQ(parsed.wc_reduction, ReductionPolicy::SourceDpor);
-  EXPECT_EQ(parsed.wc_reduction_requested, ReductionPolicy::SourceDpor);
   EXPECT_EQ(parsed.cache_hits, 0u);
   EXPECT_FALSE(parsed.frontier_clamped);
   EXPECT_EQ(parsed.races_detected, 21u);
@@ -323,6 +317,25 @@ TEST(StudyJson, RejectsMalformedInput) {
   std::string mistyped = to_json(golden_fixture());
   mistyped.replace(mistyped.find("\"n\": 2"), 6, "\"n\": \"two\"");
   EXPECT_THROW((void)study_from_json(mistyped), std::invalid_argument);
+  // Deleted reduction policies are unknown names (checked with policy and
+  // requested agreeing), and one search runs one policy, so a "requested"
+  // that differs from "policy" is malformed too.
+  const std::string golden = to_json(golden_fixture());
+  const std::string policies =
+      "\"policy\": \"source-dpor\", \"requested\": \"source-dpor\"";
+  ASSERT_NE(golden.find(policies), std::string::npos);
+  for (const char* deleted : {"hybrid", "sleep-lite"}) {
+    SCOPED_TRACE(deleted);
+    std::string changed = golden;
+    changed.replace(changed.find(policies), policies.size(),
+                    std::string("\"policy\": \"") + deleted +
+                        "\", \"requested\": \"" + deleted + "\"");
+    EXPECT_THROW((void)study_from_json(changed), std::invalid_argument);
+  }
+  std::string disagreeing = golden;
+  disagreeing.replace(disagreeing.find(policies), policies.size(),
+                      "\"policy\": \"source-dpor\", \"requested\": \"off\"");
+  EXPECT_THROW((void)study_from_json(disagreeing), std::invalid_argument);
 }
 
 }  // namespace
