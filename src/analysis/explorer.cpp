@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdio>
+#include <ranges>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -114,21 +115,24 @@ struct WorkItem {
 /// One DFS engine: owns the live simulation, the live accumulator, the
 /// per-cell visited table, the recycled scratch pools (branch stack,
 /// per-depth accumulator snapshots and rewind marks), and — under
-/// ReductionPolicy::SourceDpor — the per-path race detector and the
-/// per-depth backtrack masks. Descends by stepping the live sim; backtracks
-/// via per-depth RewindMarks (Sim::rewind_to_mark).
+/// ReductionPolicy::SourceDpor — the sleep-set-aware cache, the per-path
+/// race detector and the per-depth backtrack masks. Descends by stepping
+/// the live sim; backtracks via per-depth RewindMarks
+/// (Sim::rewind_to_mark).
 ///
-/// Three entry points: run() walks one grid cell (policy Off),
-/// plan() is the parallel source-DPOR planner, run_item() executes one
-/// planner work item. A worker reuses one CellExplorer — and its Sim —
-/// across every item it claims.
+/// Three entry points, one recursive walk: run() walks one grid cell
+/// (policy Off), plan() is the parallel source-DPOR planner, run_item()
+/// executes one planner work item. Each selects a Role; walk<Role>() owns
+/// the per-node logic all three share (node classification, the visited
+/// check, the continue-last-pid-first branch order, the capture/restore
+/// around siblings, violation handling and the child sleep transfer) and
+/// the role selects only the branch set, the visited cache, and whether
+/// the race detector runs. A worker reuses one CellExplorer — and its
+/// Sim — across every item it claims.
 class CellExplorer {
  public:
   explicit CellExplorer(const Explorer::Config& cfg)
-      : cfg_(cfg),
-        acc_(cfg.nprocs),
-        use_scache_(cfg.limits.reduction == ReductionPolicy::SourceDpor &&
-                    cfg.limits.prune_visited) {
+      : cfg_(cfg), acc_(cfg.nprocs) {
     if (cfg.limits.reduction == ReductionPolicy::SourceDpor) {
       dpor_.emplace(cfg.nprocs);
       backtrack_.assign(
@@ -168,7 +172,10 @@ class CellExplorer {
     out_ = &out;
     begin_metrics();
     reset_sim();
-    plan_dfs(0, /*last=*/-1, /*sleep=*/0, horizon, arena, items);
+    horizon_ = horizon;
+    arena_ = &arena;
+    items_ = &items;
+    walk<Role::Planner>(0, /*last=*/-1, /*preempt=*/0, /*sleep=*/0);
     // The planner's sleep cache lives for the whole walk (it is what makes
     // horizon-level re-convergence prune whole work items), so its
     // footprint is deterministic — account it here. Worker caches are
@@ -218,7 +225,7 @@ class CellExplorer {
       dpor_->push_step(depth, sim_->last_step_summary(), backtrack_);
       ++depth;
     }
-    dfs_source(depth, item.last, item.sleep);
+    walk<Role::Item>(depth, item.last, /*preempt=*/0, item.sleep);
     // Per-item flush of the race detector's counters (clear() resets
     // them): the deltas land in the item's own slot and merge in item
     // index order, keeping the totals thread-count invariant.
@@ -229,42 +236,52 @@ class CellExplorer {
   }
 
  private:
+  /// The search a walk serves, selected by the entry point.
+  enum class Role : std::uint8_t {
+    /// run(): the unreduced DFS (policy Off; Exhaustive and Bounded).
+    /// Branches on every runnable process within the preemption budget,
+    /// keeps no per-pid bitmask (so any process count works) and prunes
+    /// on the VisitedTable.
+    Grid,
+    /// plan(): full branching over enabled-and-awake processes with the
+    /// sleep transfer, down to the horizon, where it emits work items.
+    Planner,
+    /// run_item(): source-DPOR below the horizon. Starts from one seed
+    /// branch; while the node's loop is suspended in recursion, the race
+    /// detector (por/source_dpor.h) inserts, per race against the current
+    /// path, a source-set process at the ancestor node that ran the
+    /// raced-with unit.
+    Item,
+  };
+
   void run_cell(const std::vector<Pid>& prefix) {
     reset_sim();
     int preempt = 0;
     Pid last = -1;
     for (std::size_t i = 0; i < prefix.size(); ++i) {
       const Pid p = prefix[i];
-      if (!sim_->any_runnable()) {
-        // Terminal before the frontier: exactly one cell — the one whose
-        // remaining digits are all zero — owns this leaf.
-        if (all_zero_from(prefix, i)) {
+      if (!admits(p, preempt, last)) {
+        // Unrealizable here or over the preemption budget: the cells whose
+        // digit here is admitted cover the subtree. When no pick is
+        // admitted at all, the node is a leaf (terminal, or every runnable
+        // pick over budget), recorded as walk() records it below the
+        // frontier — by exactly one cell, the one whose remaining digits
+        // are all zero.
+        if (all_zero_from(prefix, i) &&
+            std::ranges::none_of(
+                std::views::iota(Pid{0}, static_cast<Pid>(cfg_.nprocs)),
+                [&](Pid q) { return admits(q, preempt, last); })) {
           ++nodes_;
           ++out_->stats.states_visited;
-          leaf_completed();
+          if (sim_->any_runnable()) {
+            leaf_truncated();
+          } else {
+            leaf_completed();
+          }
         }
         return;
       }
-      if (!allowed_pick_exists(preempt, last)) {
-        // Runnable processes remain but every pick is over the preemption
-        // budget (the last-running process finished): the bounded space
-        // ends here, exactly as dfs() records it below the frontier.
-        if (all_zero_from(prefix, i)) {
-          ++nodes_;
-          ++out_->stats.states_visited;
-          leaf_truncated();
-        }
-        return;
-      }
-      if (!sim_->runnable(p)) {
-        return;  // unrealizable branch; the runnable-digit cells cover it
-      }
-      const int switch_cost = (last != -1 && p != last) ? 1 : 0;
-      if (cfg_.limits.max_preemptions >= 0 &&
-          preempt + switch_cost > cfg_.limits.max_preemptions) {
-        return;  // excluded by the bound; the allowed-digit cells cover it
-      }
-      preempt += switch_cost;
+      preempt += switch_cost(last, p);
       try {
         sim_->step(p);
       } catch (const MutualExclusionViolation&) {
@@ -275,7 +292,8 @@ class CellExplorer {
       }
       last = p;
     }
-    dfs(static_cast<int>(prefix.size()), preempt, last);
+    walk<Role::Grid>(static_cast<int>(prefix.size()), last, preempt,
+                     /*sleep=*/0);
   }
 
   [[nodiscard]] static bool all_zero_from(const std::vector<Pid>& prefix,
@@ -284,19 +302,42 @@ class CellExplorer {
                        prefix.end(), [](Pid p) { return p == 0; });
   }
 
-  /// True iff some runnable pick fits the remaining preemption budget.
-  [[nodiscard]] bool allowed_pick_exists(int preempt, Pid last) const {
+  [[nodiscard]] static int switch_cost(Pid last, Pid p) {
+    return (last != -1 && p != last) ? 1 : 0;
+  }
+
+  /// The admission predicate: `p` may be picked at a node reached with
+  /// `preempt` switches spent and `last` the last pick — it is runnable,
+  /// and a switch away from `last` still fits the preemption budget.
+  [[nodiscard]] bool admits(Pid p, int preempt, Pid last) const {
+    return sim_->runnable(p) &&
+           (cfg_.limits.max_preemptions < 0 ||
+            preempt + switch_cost(last, p) <= cfg_.limits.max_preemptions);
+  }
+
+  [[nodiscard]] static std::uint32_t bit(Pid p) {
+    return 1u << static_cast<unsigned>(p);
+  }
+
+  /// The runnable processes as a mask (source-DPOR only: n <= 32).
+  [[nodiscard]] std::uint32_t enabled_mask() const {
+    std::uint32_t enabled = 0;
     for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      if (!sim_->runnable(p)) {
-        continue;
-      }
-      const int switch_cost = (last != -1 && p != last) ? 1 : 0;
-      if (cfg_.limits.max_preemptions < 0 ||
-          preempt + switch_cost <= cfg_.limits.max_preemptions) {
-        return true;
+      if (sim_->runnable(p)) {
+        enabled |= bit(p);
       }
     }
-    return false;
+    return enabled;
+  }
+
+  /// The next branch out of a nonempty mask, continue-last-pid-first: the
+  /// first branch descends the live sim with no restore at all, so leading
+  /// with the running process makes that free descent the preemption-free
+  /// spine. Then ascending pid.
+  [[nodiscard]] static Pid continue_last(std::uint32_t mask, Pid last) {
+    return (last != -1 && ((mask >> last) & 1u) != 0)
+               ? last
+               : static_cast<Pid>(std::countr_zero(mask));
   }
 
   void reset_sim() {
@@ -337,6 +378,11 @@ class CellExplorer {
     acc_ = acc_pool_[d];
   }
 
+  /// Visited-cache key: state fingerprint x objective digest. Under a
+  /// preemption bound the last pid is folded in too. The sleep-set-aware
+  /// cache keeps the sleep mask as its value dimension (SleepCache
+  /// subsumption), not in the key; source-DPOR is Exhaustive-only, so
+  /// there the last-pid fold never applies.
   [[nodiscard]] std::uint64_t state_key(Pid last) const {
     std::uint64_t h = state_fingerprint(*sim_);
     if (cfg_.objective.eval) {
@@ -349,21 +395,6 @@ class CellExplorer {
       // state: futures continuing it are free while switches cost budget,
       // so merging across different `last` would prune feasible subtrees.
       h = fingerprint_combine(h, static_cast<std::uint64_t>(last) + 1);
-    }
-    return h;
-  }
-
-  /// Key for the sleep-set-aware cache (stateful source-DPOR): state
-  /// fingerprint x objective digest, WITHOUT the sleep mask — the mask is
-  /// the cache's value dimension (SleepCache subsumption), not part of the
-  /// key. No last-pid fold either: source-DPOR is Exhaustive-only, so
-  /// there is no preemption budget to make `last` state.
-  [[nodiscard]] std::uint64_t scache_key() const {
-    std::uint64_t h = state_fingerprint(*sim_);
-    if (cfg_.objective.eval) {
-      h = fingerprint_combine(h, cfg_.objective.digest
-                                     ? cfg_.objective.digest(acc_)
-                                     : acc_.digest());
     }
     return h;
   }
@@ -429,27 +460,21 @@ class CellExplorer {
   /// without branching).
   void cut_point_insertions(int depth, std::uint32_t sleep) {
     capture_pendings(depth);
-    std::uint32_t enabled = 0;
-    for (Pid q = 0; q < cfg_.nprocs; ++q) {
-      if (sim_->runnable(q) && ((sleep >> q) & 1u) == 0) {
-        enabled |= 1u << static_cast<unsigned>(q);
-      }
-    }
-    dpor_->note_cut(enabled, pend_at(depth), backtrack_);
+    dpor_->note_cut(enabled_mask() & ~sleep, pend_at(depth), backtrack_);
   }
 
   /// Node-entry outcome of classify_node: the leaf accounting shared by
-  /// every policy's DFS, with the depth-horizon cut distinguished so the
-  /// source-DPOR path can attach its cut-point insertions to it.
+  /// every role, with the depth-horizon cut distinguished so the item role
+  /// can attach its cut-point insertions to it.
   enum class NodeEntry : std::uint8_t {
     Interior,  ///< explore branches
     Leaf,      ///< completed run, or cut by the state budget
     DepthCut,  ///< truncated by the depth horizon
   };
 
-  /// Leaf and budget checks shared by every policy's node entry (the
-  /// single definition of the nodes_/states_visited/leaf accounting the
-  /// reduced-vs-unreduced stat comparisons rely on). The nodes_ budget
+  /// Leaf and budget checks of every node entry (the single definition of
+  /// the nodes_/states_visited/leaf accounting the reduced-vs-unreduced
+  /// stat comparisons rely on). The nodes_ budget
   /// (ExploreLimits::max_states) is per engine run: per grid cell, per
   /// planner walk, per work item.
   [[nodiscard]] NodeEntry classify_node(int depth) {
@@ -475,89 +500,70 @@ class CellExplorer {
     return NodeEntry::Interior;
   }
 
-  /// The unreduced DFS (policy Off; the Exhaustive and Bounded
-  /// strategies).
-  void dfs(int depth, int preempt, Pid last) {
-    if (classify_node(depth) != NodeEntry::Interior) {
-      return;
+  /// The visited check: true when a stored visit covers this node, and the
+  /// node's subtree is skipped. The grid role keys the VisitedTable on
+  /// (state, depth, preemptions spent). The source-DPOR roles use the
+  /// sleep-set-aware cache (stateful DPOR): equal fingerprint implies
+  /// equal per-process histories (so equal remaining depth and equal
+  /// accumulator), and a stored sleep set that is a subset of the current
+  /// one means the stored subtree covered every behavior this visit
+  /// could, so its leaves already contributed the same objective values.
+  /// The one thing a skipped subtree still owes the *current* path is its
+  /// race-driven backtrack insertions (they are path-dependent): the item
+  /// role re-places them conservatively with the cut-point insertions,
+  /// exactly as at a DepthCut. The planner owes none: every planner node
+  /// full-branches over a maximal persistent set, so any prefix
+  /// reordering a skipped subtree's race could demand is already a planner
+  /// branch, and the planner's own backtrack masks are never consulted.
+  template <Role R>
+  [[nodiscard]] bool seen(int depth, Pid last, int preempt,
+                          std::uint32_t sleep) {
+    if (!cfg_.limits.prune_visited) {
+      return false;
     }
-    const int eff_preempt = cfg_.limits.max_preemptions < 0 ? 0 : preempt;
-    if (cfg_.limits.prune_visited &&
-        visited_.check_and_insert(state_key(last), depth, eff_preempt)) {
-      ++out_->stats.pruned_visited;
-      return;
+    bool hit = false;
+    if constexpr (R == Role::Grid) {
+      const int eff_preempt = cfg_.limits.max_preemptions < 0 ? 0 : preempt;
+      hit = visited_.check_and_insert(state_key(last), depth, eff_preempt);
+    } else {
+      hit = scache_.check_and_insert(state_key(last), sleep);
     }
-
-    // Collect branches into the shared scratch stack (zero per-node
-    // allocation), continue-last-pid-first: the first branch descends the
-    // live sim with no restore at all, so leading with the running process
-    // makes that free descent the preemption-free spine.
-    const std::size_t base = branch_buf_.size();
-    const auto admit = [&](Pid p) {
-      if (!sim_->runnable(p)) {
-        return;
-      }
-      const int switch_cost = (last != -1 && p != last) ? 1 : 0;
-      if (cfg_.limits.max_preemptions >= 0 &&
-          preempt + switch_cost > cfg_.limits.max_preemptions) {
-        return;
-      }
-      branch_buf_.push_back(p);
-    };
-    if (last != -1) {
-      admit(last);
+    if (!hit) {
+      return false;
     }
-    for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      if (p != last) {
-        admit(p);
-      }
+    ++out_->stats.pruned_visited;
+    if constexpr (R == Role::Item) {
+      cut_point_insertions(depth, sleep);
     }
-
-    const std::size_t nb = branch_buf_.size() - base;
-    if (nb == 0) {
-      // Runnable processes exist but every switch is over the preemption
-      // budget: the bounded space ends here.
-      leaf_truncated();
-      return;
-    }
-
-    // Node checkpoint for sibling restores (skipped for single branches:
-    // the parent restores for us).
-    if (nb > 1) {
-      capture_node(depth);
-    }
-
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (stop_) {
-        break;
-      }
-      const Pid p = branch_buf_[base + b];
-      if (b > 0) {
-        restore(depth);
-      }
-      try {
-        sim_->step(p);
-      } catch (const MutualExclusionViolation&) {
-        ++out_->stats.violations;
-        continue;  // sim is poisoned; the next iteration restores it
-      }
-      const int switch_cost = (last != -1 && p != last) ? 1 : 0;
-      dfs(depth + 1, preempt + switch_cost, p);
-    }
-    branch_buf_.resize(base);
+    return true;
   }
 
-  /// The source-DPOR DFS (policy SourceDpor; Exhaustive only, so there is
-  /// no preemption accounting). Instead of branching on every enabled
-  /// process, the node starts from ONE seed branch and grows its backtrack
-  /// mask on demand: the race detector (por/source_dpor.h) watches every
-  /// executed unit and inserts, per race against the current path, a
-  /// source-set process at the ancestor node that ran the raced-with unit.
-  /// Sleep sets (full, measurement-aware transfer) prune the redundant
-  /// reorderings exactly as in the classic combination: explored branches
-  /// join the node's sleep mask, and the child keeps asleep every sleeper
-  /// whose captured next step is independent of the unit just taken.
-  void dfs_source(int depth, Pid last, std::uint32_t sleep) {
+  /// The DFS behind all three entry points. A node is its depth, the last
+  /// pick, the preemptions spent on the path (grid role; only a Bounded
+  /// search spends any) and its sleep mask (source-DPOR roles: explored or
+  /// covered branches whose reorderings need no exploring here).
+  ///
+  /// Per node: the planner emits a work item at the horizon; otherwise
+  /// classify_node, the visited check, then the role's branch set (see
+  /// Role). Branches run continue-last-pid-first; each explored (or
+  /// excluded-violating) branch goes to sleep for its later siblings, and
+  /// a child keeps asleep every sleeper whose captured next step is
+  /// independent of the unit just taken (the measurement-aware sleep
+  /// transfer).
+  template <Role R>
+  void walk(int depth, Pid last, int preempt, std::uint32_t sleep) {
+    if constexpr (R == Role::Planner) {
+      if (depth == horizon_) {
+        // Stateful pruning across work items: an equal horizon state
+        // already emitted under a subset sleep mask covers this one. The
+        // horizon node itself belongs to the work item (the worker's walk
+        // classifies it), keeping node accounting disjoint.
+        if (!seen<R>(depth, last, preempt, sleep)) {
+          emit_item(last, sleep);
+        }
+        return;
+      }
+    }
     switch (classify_node(depth)) {
       case NodeEntry::Leaf:
         // Completed, or cut by the state budget — a budget cut leaves the
@@ -570,191 +576,83 @@ class CellExplorer {
         // reorderings that run the cut-off processes earlier. Insert each
         // enabled process's captured pending unit at its placement
         // buckets along the path instead. Sleeping processes are covered
-        // by reorderings of equal length, so the sleep argument stands
-        // and they are skipped.
-        cut_point_insertions(depth, sleep);
+        // by reorderings of equal length, so they are skipped. (The
+        // planner never gets here: its horizon is at most max_depth.)
+        if constexpr (R == Role::Item) {
+          cut_point_insertions(depth, sleep);
+        }
         return;
       case NodeEntry::Interior:
         break;
     }
-    // Stateful DPOR: skip the subtree when a stored visit of this state
-    // subsumes it — equal fingerprint implies equal per-process histories
-    // (so equal remaining depth and equal accumulator), and a stored sleep
-    // set S that is a subset of the current one means the stored subtree
-    // covered every behavior this visit could, so its leaves already
-    // contributed the same objective values. The one thing the skipped
-    // subtree still owes the *current* path is its race-driven backtrack
-    // insertions (they are path-dependent); the bounded-horizon cut-point
-    // insertions conservatively re-place them, exactly as at a DepthCut.
-    if (use_scache_ && scache_.check_and_insert(scache_key(), sleep)) {
-      ++out_->stats.pruned_visited;
-      cut_point_insertions(depth, sleep);
-      return;
-    }
-    std::uint32_t enabled = 0;
-    for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      if (sim_->runnable(p)) {
-        enabled |= 1u << static_cast<unsigned>(p);
-      }
-    }
-    const std::uint32_t asleep = enabled & sleep;
-    if (asleep != 0) {
-      const auto blocked =
-          static_cast<std::uint64_t>(std::popcount(asleep));
-      out_->stats.sleep_blocked += blocked;
-    }
-    const std::uint32_t avail = enabled & ~sleep;
-    if (avail == 0) {
-      // Every enabled branch is asleep: each is a reordering of an
-      // explored schedule — not a leaf of the reduced tree.
+    if (seen<R>(depth, last, preempt, sleep)) {
       return;
     }
 
-    // Seed the backtrack set with one branch, continue-last-pid-first so
-    // the restore-free first descent stays on the preemption-free spine;
-    // race insertions from the subtree grow the mask while this node's
-    // loop is suspended in recursion.
-    const Pid seed = (last != -1 && ((avail >> last) & 1u) != 0)
-                         ? last
-                         : static_cast<Pid>(std::countr_zero(avail));
-    backtrack_[static_cast<std::size_t>(depth)] =
-        1u << static_cast<unsigned>(seed);
-
-    // Node checkpoint: unlike the full-branching DFS, the branch count is
-    // not known up front (insertions arrive later), so capture always.
-    capture_node(depth);
-    capture_pendings(depth);
-
-    bool first = true;
-    while (!stop_) {
-      const std::uint32_t todo =
-          backtrack_[static_cast<std::size_t>(depth)] & enabled & ~sleep;
-      if (todo == 0) {
-        break;
-      }
-      const Pid p = (last != -1 && ((todo >> last) & 1u) != 0)
-                        ? last
-                        : static_cast<Pid>(std::countr_zero(todo));
-      if (!first) {
-        restore(depth);
-      }
-      first = false;
-      const std::size_t trace_len = dpor_->size();
-      bool violated = false;
-      try {
-        sim_->step(p);
-      } catch (const MutualExclusionViolation&) {
-        ++out_->stats.violations;
-        violated = true;  // sim is poisoned; the next iteration restores it
-      }
-      // Race-detect even the violating unit (its partial summary covers
-      // everything that took effect): the reorderings its races demand
-      // may be perfectly safe schedules.
-      dpor_->push_step(depth, sim_->last_step_summary(), backtrack_);
-      if (!violated) {
-        const std::uint32_t candidates =
-            sleep & ~(1u << static_cast<unsigned>(p));
-        const std::uint32_t child_sleep =
-            transfer_sleep(SleepSet(candidates), sim_->last_step_summary(),
-                           pend_at(depth), &out_->stats.static_refined_pairs)
-                .mask();
-        dfs_source(depth + 1, p, child_sleep);
-      }
-      dpor_->pop_to(trace_len);
-      // The explored (or excluded-violating) branch goes to sleep for its
-      // later siblings: schedules starting with it here are covered.
-      sleep |= 1u << static_cast<unsigned>(p);
-    }
-  }
-
-  /// The planner walk behind plan(): full branching over enabled-and-awake
-  /// processes with the measurement-aware sleep transfer — the same
-  /// reduction dfs_source applies, minus the race-driven narrowing (the
-  /// planner cannot see the workers' races, so it must branch over the
-  /// whole persistent set). Leaves/violations inside the planner levels
-  /// are recorded here, once, ever — no work item re-visits them.
-  void plan_dfs(int depth, Pid last, std::uint32_t sleep, int horizon,
-                SlabArena& arena, std::vector<WorkItem>& items) {
-    if (depth == horizon) {
-      // Stateful pruning across work items: when an equal horizon state
-      // was already emitted under a subset sleep mask, that item's subtree
-      // covers this one — skip emitting it entirely. No insertions are
-      // owed: every planner node full-branches over enabled-and-awake
-      // processes (a maximal persistent set), so any prefix reordering a
-      // skipped subtree's race could demand is already a planner branch,
-      // and the planner's own backtrack masks are never consulted.
-      if (use_scache_ && scache_.check_and_insert(scache_key(), sleep)) {
-        ++out_->stats.pruned_visited;
-        return;
-      }
-      // The horizon node itself belongs to the work item (the worker's
-      // dfs_source classifies it), keeping node accounting disjoint.
-      Pid* stored = arena.alloc<Pid>(path_.size());
-      std::copy(path_.begin(), path_.end(), stored);
-      items.push_back(WorkItem{stored,
-                               static_cast<std::uint32_t>(path_.size()),
-                               sleep, last});
-      ++out_->stats.work_items;
-      return;
-    }
-    switch (classify_node(depth)) {
-      case NodeEntry::Leaf:
-        return;
-      case NodeEntry::DepthCut:
-        // Unreachable (horizon <= max_depth), but keep the cut sound.
-        cut_point_insertions(depth, sleep);
-        return;
-      case NodeEntry::Interior:
-        break;
-    }
-    // Stateful pruning of planner-level re-convergence: same subsumption
-    // rule as dfs_source, same no-insertions-owed argument as the horizon
-    // check above (planner nodes full-branch over a maximal persistent
-    // set). A hit prunes every work item the subtree would have emitted.
-    if (use_scache_ && scache_.check_and_insert(scache_key(), sleep)) {
-      ++out_->stats.pruned_visited;
-      return;
-    }
-    std::uint32_t enabled = 0;
-    for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      if (sim_->runnable(p)) {
-        enabled |= 1u << static_cast<unsigned>(p);
-      }
-    }
-    const std::uint32_t asleep = enabled & sleep;
-    if (asleep != 0) {
-      const auto blocked =
-          static_cast<std::uint64_t>(std::popcount(asleep));
-      out_->stats.sleep_blocked += blocked;
-    }
-    const std::uint32_t avail = enabled & ~sleep;
-    if (avail == 0) {
-      return;  // every enabled branch asleep: covered by reorderings
-    }
-
-    // Full branching, continue-last-pid-first then ascending pid — the
-    // same deterministic order the other walks use.
+    // The branch set: a list on the shared scratch stack for the grid
+    // role, the node's backtrack mask for the source-DPOR roles.
+    const auto d = static_cast<std::size_t>(depth);
     const std::size_t base = branch_buf_.size();
-    if (last != -1 && ((avail >> last) & 1u) != 0) {
-      branch_buf_.push_back(last);
-    }
-    for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      if (p != last && ((avail >> p) & 1u) != 0) {
-        branch_buf_.push_back(p);
+    std::uint32_t enabled = 0;
+    bool branching = true;  // more than one branch may run: capture
+    if constexpr (R == Role::Grid) {
+      if (last != -1 && admits(last, preempt, last)) {
+        branch_buf_.push_back(last);
+      }
+      for (Pid p = 0; p < cfg_.nprocs; ++p) {
+        if (p != last && admits(p, preempt, last)) {
+          branch_buf_.push_back(p);
+        }
+      }
+      if (branch_buf_.size() == base) {
+        // Runnable processes exist but every switch is over the preemption
+        // budget: the bounded space ends here.
+        leaf_truncated();
+        return;
+      }
+      branching = branch_buf_.size() - base > 1;
+    } else {
+      enabled = enabled_mask();
+      out_->stats.sleep_blocked +=
+          static_cast<std::uint64_t>(std::popcount(enabled & sleep));
+      const std::uint32_t avail = enabled & ~sleep;
+      if (avail == 0) {
+        // Every enabled branch is asleep: each is a reordering of an
+        // explored schedule — not a leaf of the reduced tree.
+        return;
+      }
+      if constexpr (R == Role::Planner) {
+        backtrack_[d] = avail;
+        branching = std::popcount(avail) > 1;
+      } else {
+        // The branch count is not known up front (insertions arrive
+        // later), so the node always captures.
+        backtrack_[d] = bit(continue_last(avail, last));
       }
     }
-    const std::size_t nb = branch_buf_.size() - base;
-
-    if (nb > 1) {
+    // Node checkpoint for sibling restores (skipped for a single branch:
+    // the parent restores for us).
+    if (branching) {
       capture_node(depth);
     }
-    capture_pendings(depth);
+    if constexpr (R != Role::Grid) {
+      capture_pendings(depth);
+    }
 
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (stop_) {
-        break;
+    for (std::size_t b = 0; !stop_; ++b) {
+      Pid p = -1;
+      if constexpr (R == Role::Grid) {
+        if (base + b == branch_buf_.size()) {
+          break;
+        }
+        p = branch_buf_[base + b];
+      } else {
+        const std::uint32_t todo = backtrack_[d] & enabled & ~sleep;
+        if (todo == 0) {
+          break;
+        }
+        p = continue_last(todo, last);
       }
-      const Pid p = branch_buf_[base + b];
       if (b > 0) {
         restore(depth);
       }
@@ -765,22 +663,49 @@ class CellExplorer {
         ++out_->stats.violations;
         violated = true;  // sim is poisoned; the next iteration restores it
       }
-      if (!violated) {
-        const std::uint32_t candidates =
-            sleep & ~(1u << static_cast<unsigned>(p));
-        const std::uint32_t child_sleep =
-            transfer_sleep(SleepSet(candidates), sim_->last_step_summary(),
-                           pend_at(depth), &out_->stats.static_refined_pairs)
-                .mask();
-        path_.push_back(p);
-        plan_dfs(depth + 1, p, child_sleep, horizon, arena, items);
-        path_.pop_back();
+      std::size_t trace_len = 0;
+      if constexpr (R == Role::Item) {
+        // Race-detect even the violating unit (its partial summary covers
+        // everything that took effect): the reorderings its races demand
+        // may be perfectly safe schedules.
+        trace_len = dpor_->size();
+        dpor_->push_step(depth, sim_->last_step_summary(), backtrack_);
       }
-      // Explored (or excluded-violating) branches sleep for later
-      // siblings, exactly as in dfs_source.
-      sleep |= 1u << static_cast<unsigned>(p);
+      if (!violated) {
+        std::uint32_t child_sleep = 0;
+        if constexpr (R != Role::Grid) {
+          child_sleep = transfer_sleep(SleepSet(sleep & ~bit(p)),
+                                       sim_->last_step_summary(),
+                                       pend_at(depth),
+                                       &out_->stats.static_refined_pairs)
+                            .mask();
+        }
+        if constexpr (R == Role::Planner) {
+          path_.push_back(p);
+        }
+        walk<R>(depth + 1, p, preempt + switch_cost(last, p), child_sleep);
+        if constexpr (R == Role::Planner) {
+          path_.pop_back();
+        }
+      }
+      if constexpr (R == Role::Item) {
+        dpor_->pop_to(trace_len);
+      }
+      if constexpr (R != Role::Grid) {
+        sleep |= bit(p);
+      }
     }
     branch_buf_.resize(base);
+  }
+
+  /// Planner horizon: one work item for the subtree below the current
+  /// path (prefix picks copied into the plan's arena).
+  void emit_item(Pid last, std::uint32_t sleep) {
+    Pid* stored = arena_->alloc<Pid>(path_.size());
+    std::copy(path_.begin(), path_.end(), stored);
+    items_->push_back(WorkItem{
+        stored, static_cast<std::uint32_t>(path_.size()), sleep, last});
+    ++out_->stats.work_items;
   }
 
   /// Starts a fresh metric epoch for the engine run about to begin (the
@@ -812,7 +737,7 @@ class CellExplorer {
     bump(obs::Metric::backtrack_points, &ExploreStats::backtrack_points);
     bump(obs::Metric::restore_marks, &ExploreStats::restore_marks);
     m.set_max(obs::Metric::visited_live_bytes,
-              use_scache_ ? scache_.live_bytes() : visited_.live_bytes());
+              dpor_ ? scache_.live_bytes() : visited_.live_bytes());
   }
 
   const Explorer::Config& cfg_;
@@ -821,11 +746,14 @@ class CellExplorer {
   std::shared_ptr<void> owner_;
   MeasureAccumulator acc_;
   VisitedTable visited_;
-  /// Stateful source-DPOR only (use_scache_): the sleep-set-aware cache.
-  /// Planner: one cache across the whole walk. Worker: cleared per item.
+  /// Stateful source-DPOR only: the sleep-set-aware cache. Planner: one
+  /// cache across the whole walk. Worker: cleared per item.
   SleepCache scache_;
-  std::vector<Pid> branch_buf_;  ///< shared branch scratch stack
+  std::vector<Pid> branch_buf_;  ///< grid role: shared branch scratch stack
   std::vector<Pid> path_;        ///< planner: picks along the current path
+  int horizon_ = 0;                       ///< planner: work-item depth
+  SlabArena* arena_ = nullptr;            ///< planner: prefix storage
+  std::vector<WorkItem>* items_ = nullptr;  ///< planner: emitted items
   /// Flat per-depth pending captures (capture_pendings / pend_at): one
   /// contiguous slab instead of a kMaxPorProcs array per recursion frame.
   std::vector<NextStep> pend_pool_;
@@ -835,7 +763,6 @@ class CellExplorer {
   std::uint64_t rewind_tick_ = 0;  ///< restore() sampling counter
   ExploreStats flushed_;  ///< metric-flush cursor (see flush_metrics)
   bool stop_ = false;
-  bool use_scache_ = false;
   /// SourceDpor only: the race detector over the current path and the
   /// per-depth node backtrack masks it inserts into (prefix depths hold
   /// the foreign-node sentinel).
@@ -851,6 +778,9 @@ Explorer::Explorer(Config cfg) : cfg_(std::move(cfg)) {
   }
   if (!cfg_.setup) {
     throw std::invalid_argument("Explorer: setup callback is required");
+  }
+  if (cfg_.limits.max_depth < 0) {
+    throw std::invalid_argument("Explorer: limits.max_depth must be >= 0");
   }
   if (cfg_.strategy == SearchStrategy::Exhaustive) {
     // Exhaustive means every interleaving within the depth bound: a

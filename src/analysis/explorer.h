@@ -60,7 +60,7 @@ enum class ReductionPolicy : std::uint8_t {
 
 /// Budgets for a DFS exploration.
 struct ExploreLimits {
-  /// Scheduler picks per path (depth of the interleaving tree).
+  /// Scheduler picks per path (depth of the interleaving tree); >= 0.
   int max_depth = 48;
   /// Context switches per path; -1 = unlimited (Exhaustive).
   int max_preemptions = -1;
@@ -219,9 +219,13 @@ struct ExploreObjective {
 /// engine behind the certified worst-case searches.
 ///
 /// Mechanics: the explorer keeps ONE live simulation per frontier cell (or
-/// per source-DPOR worker) and descends by stepping it, ordering branches
-/// continue-last-pid-first so the restore-free first descent walks the
-/// preemption-free spine. Coroutine frames cannot be copied, so every
+/// per source-DPOR planner or worker) and descends by stepping it, ordering
+/// branches continue-last-pid-first so the restore-free first descent
+/// walks the preemption-free spine. One recursive walk serves the grid
+/// cells (Off), the source-DPOR planner and its workers; they differ only
+/// in the branch set (every admitted process / every enabled, awake
+/// process / one seed grown by race insertions) and the visited cache
+/// (VisitedTable / SleepCache). Coroutine frames cannot be copied, so every
 /// branching node captures a Sim::RewindMark (register values + digests,
 /// O(registers + processes)) and its MeasureAccumulator snapshot (plain
 /// data) into per-depth pools; a sibling restore is Sim::rewind_to_mark,

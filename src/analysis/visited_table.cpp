@@ -28,13 +28,6 @@ constexpr int unpack_preempt(std::uint32_t p) {
 
 }  // namespace
 
-std::uint64_t VisitedTable::normalize(std::uint64_t key) {
-  // Key 0 marks an empty slot; remap the (astronomically unlikely)
-  // fingerprint 0 to a fixed constant — the cache is already approximate
-  // at 64-bit-collision fidelity.
-  return key == 0 ? 0x9e3779b97f4a7c15ULL : key;
-}
-
 std::size_t VisitedTable::find_slot(std::uint64_t key) const {
   // Power-of-two capacity: mask instead of modulo, linear probing. The
   // caller guarantees a free or matching slot exists (load factor < 1).
@@ -96,7 +89,7 @@ bool VisitedTable::dominated(std::uint64_t raw_key, int depth,
   if (slots_.empty()) {
     return false;
   }
-  const std::uint64_t key = normalize(raw_key);
+  const std::uint64_t key = normalize_key(raw_key);
   const Slot& slot = slots_[find_slot(key)];
   return slot.key == key && slot_dominates(slot, depth, preempt);
 }
@@ -108,7 +101,7 @@ void VisitedTable::insert(std::uint64_t raw_key, int depth, int preempt) {
   if (slots_.empty() || used_ * 10 >= slots_.size() * 7) {
     grow();
   }
-  const std::uint64_t key = normalize(raw_key);
+  const std::uint64_t key = normalize_key(raw_key);
   insert_into(slots_[find_slot(key)], key, depth, preempt);
 }
 
@@ -120,7 +113,7 @@ bool VisitedTable::check_and_insert(std::uint64_t raw_key, int depth,
   if (slots_.empty() || used_ * 10 >= slots_.size() * 7) {
     grow();
   }
-  const std::uint64_t key = normalize(raw_key);
+  const std::uint64_t key = normalize_key(raw_key);
   Slot& slot = slots_[find_slot(key)];
   if (slot.key == key && slot_dominates(slot, depth, preempt)) {
     return true;

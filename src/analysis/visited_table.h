@@ -74,7 +74,6 @@ class VisitedTable {
     SpillNode* spill_head = nullptr;
   };
 
-  [[nodiscard]] static std::uint64_t normalize(std::uint64_t key);
   [[nodiscard]] bool slot_dominates(const Slot& slot, int depth,
                                     int preempt) const;
   [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;

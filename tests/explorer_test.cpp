@@ -5,11 +5,16 @@
 // (d) still find safety violations.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "core/adversary.h"
+#include "analysis/explorer.h"
 #include "core/algorithm_registry.h"
 #include "core/contention_detection.h"
 #include "mutex/peterson.h"
@@ -275,8 +280,9 @@ TEST(Explorer, ExhaustiveIgnoresLeftoverPreemptionLimit) {
 
 TEST(Explorer, UnreducedSearchAcceptsMoreThan32Processes) {
   // Process bitmasks (sleep sets, backtrack masks) cap only the reduced
-  // search at 32 processes; the unreduced DFS keeps no per-pid mask, so an
-  // n = 33 search must run clean (the ASan/UBSan job runs this suite).
+  // search at 32 processes (ConstructorRejectsInvalidConfigurations); the
+  // unreduced DFS keeps no per-pid mask, so an n = 33 search must run
+  // clean (the ASan/UBSan job runs this suite).
   constexpr int kN = 33;
   Explorer::Config cfg;
   cfg.nprocs = kN;
@@ -290,9 +296,179 @@ TEST(Explorer, UnreducedSearchAcceptsMoreThan32Processes) {
   EXPECT_GT(r.stats.runs_truncated, 0u);
   EXPECT_EQ(r.stats.violations, 0u);
   EXPECT_FALSE(r.stats.state_budget_hit);
+}
 
-  cfg.limits.reduction = ReductionPolicy::SourceDpor;
-  EXPECT_THROW((void)Explorer(cfg), std::invalid_argument);
+// The exact traversal of every search configuration the explorer offers,
+// pinned counter by counter: a refactor of the DFS must keep each search
+// walking the same tree in the same order, not just certify the same
+// values. The rows are the explorer's own output on the two cells below;
+// every pinned counter is thread-count invariant, so the shared pool's
+// size does not matter.
+struct TraversalPin {
+  const char* what;
+  const char* subject;
+  int n;
+  bool crash;  ///< crash_after(1, 2)
+  SearchStrategy strategy;
+  int max_preemptions;
+  ReductionPolicy reduction;
+  bool prune;
+  bool static_refine;
+  std::array<std::uint64_t, 13> counters;
+};
+
+constexpr std::uint64_t ExploreStats::*kPinnedCounters[] = {
+    &ExploreStats::states_visited,   &ExploreStats::runs_completed,
+    &ExploreStats::runs_truncated,   &ExploreStats::pruned_visited,
+    &ExploreStats::violations,       &ExploreStats::races_detected,
+    &ExploreStats::backtrack_points, &ExploreStats::sleep_blocked,
+    &ExploreStats::static_refined_pairs, &ExploreStats::restores,
+    &ExploreStats::restore_marks,    &ExploreStats::value_replayed_steps,
+    &ExploreStats::work_items,
+};
+
+Explorer::Config pinned_config(const TraversalPin& pin) {
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex(pin.subject).factory;
+  const int n = pin.n;
+  const bool crash = pin.crash;
+  Explorer::Config cfg;
+  cfg.nprocs = n;
+  cfg.strategy = pin.strategy;
+  cfg.limits.max_depth = 12;
+  cfg.limits.max_preemptions = pin.max_preemptions;
+  cfg.limits.reduction = pin.reduction;
+  cfg.limits.prune_visited = pin.prune;
+  cfg.limits.static_refine = pin.static_refine;
+  cfg.setup = [factory, n, crash](Sim& sim) -> std::shared_ptr<void> {
+    std::shared_ptr<void> alg = setup_mutex(sim, factory, n, 1);
+    if (crash) {
+      sim.crash_after(1, 2);
+    }
+    return alg;
+  };
+  cfg.objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
+    ComplexityReport entry;
+    ComplexityReport exit;
+    for (Pid pid = 0; pid < n; ++pid) {
+      entry = entry.max_with(acc.clean_entry_max(pid));
+      exit = exit.max_with(acc.exit_max(pid));
+    }
+    return std::vector<ComplexityReport>{entry, exit};
+  };
+  cfg.objective.digest = [](const MeasureAccumulator& acc) {
+    return acc.window_digest();
+  };
+  return cfg;
+}
+
+TEST(Explorer, PinsTheTraversalOfEverySearchConfiguration) {
+  using enum SearchStrategy;
+  constexpr ReductionPolicy kOff = ReductionPolicy::Off;
+  constexpr ReductionPolicy kDpor = ReductionPolicy::SourceDpor;
+  // counters: states_visited, runs_completed, runs_truncated,
+  // pruned_visited, violations, races_detected, backtrack_points,
+  // sleep_blocked, static_refined_pairs, restores, restore_marks,
+  // value_replayed_steps, work_items.
+  const TraversalPin pins[] = {
+      // peterson-tree n=3 d12.
+      {"off, pruning off", "peterson-tree", 3, false, Exhaustive, -1, kOff,
+       false, false,
+       {796326, 0, 530712, 0, 0, 0, 0, 0, 0, 530631, 265614, 3282791, 0}},
+      {"off, pruning on", "peterson-tree", 3, false, Exhaustive, -1, kOff,
+       true, false,
+       {44031, 0, 15774, 13558, 0, 0, 0, 0, 0, 29251, 14699, 172799, 0}},
+      {"off, bounded p=1", "peterson-tree", 3, false, Bounded, 1, kOff, true,
+       false,
+       {366, 0, 54, 0, 0, 0, 0, 0, 0, 33, 18, 105, 0}},
+      {"source-dpor, stateless", "peterson-tree", 3, false, Exhaustive, -1,
+       kDpor, false, false,
+       {15188, 0, 7625, 0, 0, 6097, 8869, 1911, 0, 7624, 7563, 43113, 77}},
+      {"source-dpor, stateful", "peterson-tree", 3, false, Exhaustive, -1,
+       kDpor, true, false,
+       {4397, 0, 1952, 364, 0, 1773, 2559, 367, 0, 2315, 2093, 12984, 18}},
+      {"source-dpor, static_refine", "peterson-tree", 3, false, Exhaustive,
+       -1, kDpor, true, true,
+       {2927, 0, 1127, 186, 0, 1228, 1481, 1146, 874, 1316, 1615, 7456, 26}},
+      // lamport-fast n=2 d12 with crash_after(1, 2).
+      {"off, pruning off", "lamport-fast", 2, true, Exhaustive, -1, kOff,
+       false, false,
+       {805, 95, 94, 0, 0, 0, 0, 0, 0, 174, 174, 1631, 0}},
+      {"off, pruning on", "lamport-fast", 2, true, Exhaustive, -1, kOff, true,
+       false,
+       {380, 21, 24, 89, 0, 0, 0, 0, 0, 119, 119, 1070, 0}},
+      {"off, bounded p=1", "lamport-fast", 2, true, Bounded, 1, kOff, true,
+       false,
+       {47, 2, 9, 0, 0, 0, 0, 0, 0, 4, 4, 26, 0}},
+      {"source-dpor, stateless", "lamport-fast", 2, true, Exhaustive, -1,
+       kDpor, false, false,
+       {224, 14, 15, 0, 0, 52, 42, 31, 0, 54, 168, 404, 15}},
+      {"source-dpor, stateful", "lamport-fast", 2, true, Exhaustive, -1,
+       kDpor, true, false,
+       {122, 5, 9, 24, 0, 25, 29, 1, 0, 37, 85, 271, 5}},
+      {"source-dpor, static_refine", "lamport-fast", 2, true, Exhaustive, -1,
+       kDpor, true, true,
+       {90, 4, 4, 6, 0, 24, 8, 27, 27, 15, 72, 68, 6}},
+  };
+  for (const TraversalPin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.subject) + ": " + pin.what);
+    const Explorer::Result r = Explorer(pinned_config(pin)).run();
+    std::array<std::uint64_t, 13> got{};
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      got[i] = r.stats.*kPinnedCounters[i];
+    }
+    EXPECT_EQ(got, pin.counters);
+  }
+}
+
+TEST(Explorer, ConstructorRejectsInvalidConfigurations) {
+  // Each case breaks one field of an otherwise valid configuration; the
+  // constructor must refuse it before any search runs. A negative depth
+  // would otherwise reach the frontier split (std::clamp with lo > hi) and,
+  // under source-dpor, size the per-depth backtrack masks from it.
+  struct Case {
+    const char* what;
+    void (*mutate)(Explorer::Config&);
+  };
+  const Case cases[] = {
+      {"no processes", [](Explorer::Config& c) { c.nprocs = 0; }},
+      {"no setup", [](Explorer::Config& c) { c.setup = nullptr; }},
+      {"bounded without a preemption bound",
+       [](Explorer::Config& c) {
+         c.strategy = SearchStrategy::Bounded;
+         c.limits.max_preemptions = -1;
+       }},
+      {"source-dpor, 33 processes",
+       [](Explorer::Config& c) {
+         c.limits.reduction = ReductionPolicy::SourceDpor;
+         c.nprocs = 33;
+       }},
+      {"off, depth -1", [](Explorer::Config& c) { c.limits.max_depth = -1; }},
+      {"off, depth -2", [](Explorer::Config& c) { c.limits.max_depth = -2; }},
+      {"source-dpor, depth -1",
+       [](Explorer::Config& c) {
+         c.limits.reduction = ReductionPolicy::SourceDpor;
+         c.limits.max_depth = -1;
+       }},
+      {"source-dpor, depth -2",
+       [](Explorer::Config& c) {
+         c.limits.reduction = ReductionPolicy::SourceDpor;
+         c.limits.max_depth = -2;
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    Explorer::Config cfg;
+    cfg.nprocs = 2;
+    cfg.strategy = SearchStrategy::Exhaustive;
+    cfg.limits.max_depth = 4;
+    cfg.setup = [](Sim& sim) -> std::shared_ptr<void> {
+      return setup_mutex(sim, Peterson::factory(), 2, 1);
+    };
+    EXPECT_NO_THROW((void)Explorer(cfg));
+    c.mutate(cfg);
+    EXPECT_THROW((void)Explorer(cfg), std::invalid_argument);
+  }
 }
 
 TEST(Explorer, NewCountersAreThreadInvariant) {
