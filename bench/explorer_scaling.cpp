@@ -1,7 +1,8 @@
 // P4/P6/P7 (perf) — schedule-space explorer scaling after the
 // allocation-free hot-path rebuild, the parallel source-DPOR round, and
 // the stateful (sleep-set-aware visited cache) round: DFS throughput
-// (states/sec, min-of-N wall time) with the restore-cost counters
+// (states/sec, min-of-N wall time per run over >= 50 ms samples, keyed on
+// the reduction policy) with the restore-cost counters
 // (restores, value-replayed-steps-per-node, restore_marks, sims_built,
 // visited-table reserved/live bytes), visited-state pruning, the
 // source-dpor reduction rows (with a stateful-vs-baseline state ceiling),
@@ -100,43 +101,35 @@ Explorer::Config tree_dpor_config(int depth) {
   return cfg;
 }
 
-/// Reads the committed baseline's unreduced throughput states per depth
-/// (the `{"section": "throughput", "depth": D, "states": N, ...}` rows of
-/// a BENCH_explorer_scaling.json this bench itself wrote). A targeted text
-/// scan, not a JSON parser: the row shape is owned by this file.
-long long baseline_states_at_depth(const std::string& json, int depth) {
-  const std::string sect = "\"section\": \"throughput\"";
-  const std::string want_depth = "\"depth\": " + std::to_string(depth);
-  for (std::size_t at = json.find(sect); at != std::string::npos;
-       at = json.find(sect, at + 1)) {
-    const std::size_t row_end = json.find('}', at);
-    const std::size_t d = json.find(want_depth, at);
-    if (d == std::string::npos || d > row_end) {
-      continue;
-    }
-    const std::size_t s = json.find("\"states\": ", at);
-    if (s == std::string::npos || s > row_end) {
-      continue;
-    }
-    return std::strtoll(json.c_str() + s + 10, nullptr, 10);
-  }
-  return -1;
-}
-
 /// Reads a numeric field of the committed baseline's row at a depth in a
-/// given section (same targeted scan as baseline_states_at_depth);
-/// negative when the baseline predates the field or section.
+/// given section (the rows of a BENCH_explorer_scaling.json this bench
+/// itself wrote). When `reduction` is non-null the row must also carry
+/// that `"reduction"` — part of a throughput row's identity, since the
+/// same depth is timed under both policies over very different state
+/// counts. A targeted text scan, not a JSON parser: the row shape is owned
+/// by this file. Negative when the baseline predates the field or row.
 double baseline_row_double(const std::string& json, const char* section,
-                           int depth, const char* field) {
+                           int depth, const char* field,
+                           const char* reduction = nullptr) {
   const std::string sect =
       "\"section\": \"" + std::string(section) + "\"";
   const std::string want_depth = "\"depth\": " + std::to_string(depth);
+  const std::string want_reduction =
+      reduction == nullptr
+          ? std::string()
+          : "\"reduction\": \"" + std::string(reduction) + "\"";
   for (std::size_t at = json.find(sect); at != std::string::npos;
        at = json.find(sect, at + 1)) {
     const std::size_t row_end = json.find('}', at);
     const std::size_t d = json.find(want_depth, at);
     if (d == std::string::npos || d > row_end) {
       continue;
+    }
+    if (reduction != nullptr) {
+      const std::size_t r = json.find(want_reduction, at);
+      if (r == std::string::npos || r > row_end) {
+        continue;
+      }
     }
     const std::string key = "\"" + std::string(field) + "\": ";
     const std::size_t s = json.find(key, at);
@@ -148,9 +141,34 @@ double baseline_row_double(const std::string& json, const char* section,
   return -1.0;
 }
 
+/// The committed baseline's throughput row at `depth` under `reduction`.
 double baseline_throughput_double(const std::string& json, int depth,
+                                  ReductionPolicy reduction,
                                   const char* field) {
-  return baseline_row_double(json, "throughput", depth, field);
+  return baseline_row_double(json, "throughput", depth, field,
+                             name(reduction));
+}
+
+/// Wall time of one body() run, timed long enough to rise above timer and
+/// scheduler noise: the runs per sample double until one sample takes
+/// >= kMinSampleMs (these sizing samples double as warm-up), and the
+/// result is the min over `repeat` samples of that size of the time per
+/// run. `runs_per_sample` reports the sizing.
+constexpr double kMinSampleMs = 50.0;
+
+template <typename F>
+double min_ms_per_run_of(int repeat, F&& body, int& runs_per_sample) {
+  int k = 1;
+  const auto sample = [&] {
+    for (int i = 0; i < k; ++i) {
+      body();
+    }
+  };
+  while (cfc::bench::min_ms_of(1, sample) < kMinSampleMs) {
+    k *= 2;
+  }
+  runs_per_sample = k;
+  return cfc::bench::min_ms_of(repeat, sample) / k;
 }
 
 std::string read_file(const std::string& path) {
@@ -237,10 +255,14 @@ int main(int argc, char** argv) {
   std::vector<std::pair<Explorer::Result, double>> throughput_runs;
   for (const int depth : {12, 16, 20}) {
     Explorer::Result res;
-    const double ms = cfc::bench::min_ms_of(opts.repeat, [&] {
-      const Explorer explorer(peterson_config(depth, opts.reduction));
-      res = explorer.run(runner.get());
-    });
+    int runs_per_sample = 1;
+    const double ms = min_ms_per_run_of(
+        opts.repeat,
+        [&] {
+          const Explorer explorer(peterson_config(depth, opts.reduction));
+          res = explorer.run(runner.get());
+        },
+        runs_per_sample);
     throughput_runs.emplace_back(res, ms);
     const double rate =
         ms > 0 ? 1000.0 * static_cast<double>(res.stats.states_visited) / ms
@@ -263,9 +285,11 @@ int main(int argc, char** argv) {
              std::to_string(res.stats.visited_live_bytes / 1024) + ")",
          std::to_string(res.best.empty() ? 0 : res.best[0].steps)});
     json.row({{"section", std::string("throughput")},
+              {"reduction", std::string(name(opts.reduction))},
               {"depth", cfc::bench::jv(depth)},
               {"states", cfc::bench::jv(res.stats.states_visited)},
               {"ms_min", cfc::bench::jv(ms)},
+              {"runs_per_sample", cfc::bench::jv(runs_per_sample)},
               {"states_per_sec", cfc::bench::jv(rate)},
               {"restores", cfc::bench::jv(res.stats.restores)},
               {"value_replayed_steps",
@@ -295,13 +319,14 @@ int main(int argc, char** argv) {
                    "rewind restores build no Sims at depth " +
                        std::to_string(depth));
     }
-    // Throughput regression guard vs the committed baseline. Wall time is
-    // the one cross-host-noisy number here, so the gate carries a 30%
-    // guard band: it catches real hot-path regressions, not machine skew.
+    // Throughput regression guard vs the committed baseline's row of the
+    // same reduction and depth. Wall time is the one cross-host-noisy
+    // number here, so the gate carries a 30% guard band: it catches real
+    // hot-path regressions, not machine skew.
     const double base_rate =
         baseline_json.empty()
             ? -1.0
-            : baseline_throughput_double(baseline_json, depth,
+            : baseline_throughput_double(baseline_json, depth, opts.reduction,
                                          "states_per_sec");
     if (base_rate > 0.0 && !oversubscribed) {
       verify.check(rate >= base_rate * 0.7,
@@ -392,7 +417,8 @@ int main(int argc, char** argv) {
       const long long base_states =
           baseline_json.empty()
               ? -1
-              : baseline_states_at_depth(baseline_json, depth);
+              : static_cast<long long>(baseline_throughput_double(
+                    baseline_json, depth, ReductionPolicy::Off, "states"));
       const double base_factor =
           base_states > 0 && dpor.stats.states_visited
               ? static_cast<double>(base_states) /

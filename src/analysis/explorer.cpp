@@ -363,9 +363,11 @@ class CellExplorer {
 
   /// Repositions the engine at the node checkpointed by capture_node at
   /// `depth`: Sim::rewind_to_mark value-replays only the processes that
-  /// acted below the node (counted in value_replayed_steps), and the
-  /// node's accumulator snapshot is restored by assignment (the sink stays
-  /// attached).
+  /// acted below the node (counted in value_replayed_steps) and undoes the
+  /// register writes made below it, and MeasureAccumulator::rewind_to
+  /// copies back only the per-process measurement state that changed below
+  /// it (the sink stays attached). The walk restores only to checkpoints
+  /// of the current path, which is the contract of both rewinds.
   void restore(int depth) {
     // Rewinds are far too frequent to record individually; sample 1/256
     // so traces show representative restore costs without drowning.
@@ -375,7 +377,7 @@ class CellExplorer {
     ++out_->stats.restores;
     const auto d = static_cast<std::size_t>(depth);
     out_->stats.value_replayed_steps += sim_->rewind_to_mark(mark_pool_[d]);
-    acc_ = acc_pool_[d];
+    acc_.rewind_to(acc_pool_[d]);
   }
 
   /// Visited-cache key: state fingerprint x objective digest. Under a

@@ -226,14 +226,16 @@ struct ExploreObjective {
 /// in the branch set (every admitted process / every enabled, awake
 /// process / one seed grown by race insertions) and the visited cache
 /// (VisitedTable / SleepCache). Coroutine frames cannot be copied, so every
-/// branching node captures a Sim::RewindMark (register values + digests,
-/// O(registers + processes)) and its MeasureAccumulator snapshot (plain
-/// data) into per-depth pools; a sibling restore is Sim::rewind_to_mark,
-/// which value-replays only the processes that acted below the node from
-/// their recorded value tapes, plus an accumulator assignment. Steady
-/// state, a restore performs zero Sim heap allocation. That is the only
-/// sibling restore: tests check it against a from-scratch Sim::fork
-/// oracle (tests/rewind_test.cpp).
+/// branching node captures a Sim::RewindMark (undo-log length + per-process
+/// digests, O(processes); no register values) and its MeasureAccumulator
+/// snapshot (plain data) into per-depth pools. A sibling restore costs what
+/// changed below the node: Sim::rewind_to_mark pops the register undo log
+/// back to the mark and value-replays only the processes that acted below
+/// the node from their recorded value tapes, and
+/// MeasureAccumulator::rewind_to copies back only the processes whose
+/// measurement state changed below it. Steady state, a restore performs
+/// zero Sim heap allocation. That is the only sibling restore: tests check
+/// it against a from-scratch Sim::fork oracle (tests/rewind_test.cpp).
 ///
 /// Parallelism: prefixes of frontier_depth picks partition the tree into
 /// independent subtrees, fanned over an ExperimentRunner; per-cell results

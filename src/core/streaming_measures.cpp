@@ -145,6 +145,7 @@ bool MeasureAccumulator::nobody_in_cs_or_exit() const {
 }
 
 void MeasureAccumulator::on_event(const TraceEvent& ev) {
+  ++events_;
   switch (ev.kind) {
     case TraceEvent::Kind::Access:
       on_access(ev);
@@ -160,6 +161,7 @@ void MeasureAccumulator::on_event(const TraceEvent& ev) {
 
 void MeasureAccumulator::on_access(const TraceEvent& ev) {
   PerPid& pp = at(ev.pid);
+  pp.changed_at = events_;
   pp.total.add(ev.access);
   pp.total_dirty = true;
   if (pp.cf_session.open) {
@@ -179,6 +181,7 @@ void MeasureAccumulator::on_access(const TraceEvent& ev) {
 void MeasureAccumulator::on_section_change(const TraceEvent& ev) {
   const Pid p = ev.pid;
   const Section to = ev.to;
+  at(p).changed_at = events_;
 
   // --- Contention-free sessions (measures.h contention_free_sessions):
   // a session of q opens at q's Remainder->Entry, closes at its next
@@ -204,6 +207,7 @@ void MeasureAccumulator::on_section_change(const TraceEvent& ev) {
       }
     } else if (w.open && to != Section::Remainder) {
       w.clean = false;  // interference: not a contention-free session
+      per_pid_[static_cast<std::size_t>(q)].changed_at = events_;
     }
   }
 
@@ -231,6 +235,7 @@ void MeasureAccumulator::on_section_change(const TraceEvent& ev) {
     } else if (w.open &&
                (to == Section::Critical || to == Section::Exit)) {
       w.clean = false;  // someone reached CS/exit inside the window
+      per_pid_[static_cast<std::size_t>(q)].changed_at = events_;
     }
   }
 
@@ -255,6 +260,31 @@ void MeasureAccumulator::on_section_change(const TraceEvent& ev) {
   for (PerPid& pp : per_pid_) {
     pp.window_dirty = true;
   }
+}
+
+void MeasureAccumulator::rewind_to(const MeasureAccumulator& ancestor) {
+  if (ancestor.per_pid_.size() != per_pid_.size()) {
+    throw std::invalid_argument(
+        "MeasureAccumulator::rewind_to: process count mismatch");
+  }
+  if (ancestor.events_ > events_) {
+    throw std::logic_error(
+        "MeasureAccumulator::rewind_to: the snapshot is not an ancestor "
+        "(it counts more events)");
+  }
+  // A process stamped at or before the ancestor's count has not changed
+  // since the snapshot (every later change stamps a larger count, and a
+  // rewind to an ancestor restores its stamps), so it already equals the
+  // snapshot's; its cached digest contributions are exact or flagged.
+  for (std::size_t p = 0; p < per_pid_.size(); ++p) {
+    if (per_pid_[p].changed_at > ancestor.events_) {
+      per_pid_[p] = ancestor.per_pid_[p];
+    }
+  }
+  section_ = ancestor.section_;
+  section_hash_ = ancestor.section_hash_;
+  truncated_ = ancestor.truncated_;
+  events_ = ancestor.events_;
 }
 
 void MeasureAccumulator::refresh_window_contrib(Pid pid) const {

@@ -12,8 +12,9 @@ namespace cfc {
 
 /// Sorted-unique flat set of register ids, backing the register-complexity
 /// counts. A vector rather than a node-based std::set: the explorer copies
-/// accumulator snapshots on every branching DFS node and every sibling
-/// restore, and vector copy-assignment reuses the destination's capacity —
+/// accumulator snapshots on every branching DFS node (and the changed
+/// processes' state back on every sibling restore, MeasureAccumulator::
+/// rewind_to), and vector copy-assignment reuses the destination's capacity —
 /// steady-state allocation-free — where std::set would allocate one node
 /// per element per copy. Windows touch few registers, so the ordered
 /// insert's linear shift is cheaper than chasing tree nodes anyway.
@@ -108,6 +109,17 @@ class MeasureAccumulator final : public EventSink {
     return static_cast<int>(per_pid_.size());
   }
 
+  /// Rewinds this accumulator to `ancestor`, an earlier copy of it: the
+  /// result equals copy-assignment from `ancestor` in every report and
+  /// digest. Contract: `ancestor` was copied from this accumulator on the
+  /// current run, and this accumulator has not been rewound past it since
+  /// (the explorer restores only to snapshots of the current DFS path).
+  /// Costs O(processes) plus a copy of each process's state that changed
+  /// after the snapshot — not a full copy. Throws std::invalid_argument on
+  /// a process-count mismatch and std::logic_error when `ancestor` counts
+  /// more events than this accumulator (it cannot be an ancestor).
+  void rewind_to(const MeasureAccumulator& ancestor);
+
  private:
   /// Incrementally built ComplexityReport: counts plus the distinct-register
   /// sets backing the register-complexity components.
@@ -158,6 +170,10 @@ class MeasureAccumulator final : public EventSink {
     std::uint64_t max_hash = 0;
     mutable bool window_dirty = false;
     mutable bool total_dirty = false;
+    /// events_ at this process's last real state change (the dirty flags
+    /// and cached contributions above do not count): rewind_to() copies
+    /// only processes stamped after the ancestor's event count.
+    std::uint64_t changed_at = 0;
   };
 
   void on_access(const TraceEvent& ev);
@@ -176,6 +192,8 @@ class MeasureAccumulator final : public EventSink {
   std::vector<Section> section_;
   std::uint64_t section_hash_ = 0;  ///< XOR of per-pid section slots
   bool truncated_ = false;
+  /// Events received so far (the clock behind PerPid::changed_at).
+  std::uint64_t events_ = 0;
 };
 
 }  // namespace cfc

@@ -91,9 +91,16 @@ Task<Value> LamportTree::try_enter(ProcessContext& ctx, int slot,
 }
 
 Task<void> LamportTree::exit(ProcessContext& ctx, int slot) {
-  // Leaf-to-root release order, per Theorem 3's proof.
-  for (const PathStep& step : path_of(slot)) {
-    co_await step.node->exit(ctx, step.local_id);
+  // Release root -> leaf (reverse acquisition order), like
+  // TournamentMutex. The paper's leaf-to-root phrasing is unsafe here
+  // too: once the leaf node is released, a same-group successor can win
+  // it and enter an upper Lamport node under the SAME local id as the
+  // exiting process, which has not yet run its exit code there. Random
+  // schedules at n=16 and n=64 find the double critical section
+  // (TournamentExitOrder.LamportTreeReleasesRootToLeaf).
+  const std::vector<PathStep> path = path_of(slot);
+  for (auto it = path.rbegin(); it != path.rend(); ++it) {
+    co_await it->node->exit(ctx, it->local_id);
   }
 }
 

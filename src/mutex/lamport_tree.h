@@ -33,7 +33,10 @@ enum class TreeArity : std::uint8_t {
 /// Process i enters at the leaf group floor(i / k) and climbs; it advances
 /// a level each time it wins the Lamport instance it shares with its group,
 /// holding the critical section when it wins the root. Exit executes the
-/// exit code of every node on the path, leaf to root (the paper's order).
+/// exit code of every node on the path, root to leaf (reverse acquisition
+/// order). The paper's leaf-to-root order is unsafe: after the leaf
+/// release a same-group successor can enter an upper node under the
+/// exiting process's local id before that process has exited it.
 class LamportTree final : public MutexAlgorithm {
  public:
   LamportTree(RegisterFile& mem, int n, int l,

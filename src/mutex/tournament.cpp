@@ -79,14 +79,16 @@ Task<Value> TournamentMutex::try_enter(ProcessContext& ctx, int slot,
 Task<void> TournamentMutex::exit(ProcessContext& ctx, int slot) {
   // Release root -> leaf (reverse acquisition order). The paper's Theorem 3
   // phrasing ("execute the exit code in all the nodes in its path from the
-  // leaf to the root") is safe for *Lamport* nodes, whose slow path
-  // re-validates ownership of y, but it is UNSAFE for Peterson/Kessels
-  // nodes: once the leaf node is released, a same-subtree successor can
-  // reach an upper node and raise the shared side's intent flag, which the
-  // exiting process's later release of that node then erases — admitting
-  // two winners. The bounded-preemption explorer in the test suite finds
-  // this violation reliably; see also the regression test
-  // TournamentExitOrder.LeafToRootIsUnsafeForPetersonNodes.
+  // leaf to the root") is UNSAFE for Peterson/Kessels nodes: once the leaf
+  // node is released, a same-subtree successor can reach an upper node and
+  // raise the shared side's intent flag, which the exiting process's later
+  // release of that node then erases — admitting two winners. It is unsafe
+  // for Lamport nodes too (LamportTree::exit releases root -> leaf for the
+  // same reason: the successor enters the upper node under the exiting
+  // process's local id). The bounded-preemption explorer in the test suite
+  // finds the Peterson violation reliably; see the regression tests
+  // TournamentExitOrder.LeafToRootIsUnsafeForPetersonNodes and
+  // TournamentExitOrder.LamportTreeReleasesRootToLeaf.
   const std::vector<PathStep> path = path_of(slot);
   if (release_order_ == ReleaseOrder::LeafToRoot) {
     for (const PathStep& step : path) {

@@ -29,9 +29,9 @@ using NodeFactory = std::function<std::unique_ptr<MutexAlgorithm>(
 enum class ReleaseOrder : std::uint8_t {
   /// Reverse acquisition order (safe for any node algorithm; the default).
   RootToLeaf,
-  /// The paper's Theorem 3 phrasing. Safe for Lamport nodes (their slow
-  /// path re-validates y-ownership) but UNSAFE for Peterson/Kessels nodes:
-  /// kept selectable so the test suite can demonstrate the violation.
+  /// The paper's Theorem 3 phrasing. UNSAFE for Peterson/Kessels nodes
+  /// (and for Lamport nodes, see LamportTree::exit): kept selectable so
+  /// the test suite can demonstrate the violation.
   LeafToRoot,
 };
 

@@ -321,6 +321,9 @@ Value Sim::execute(Proc& pr, Pid pid, const PendingAccess& req) {
   }
 
   if (a.after != a.before) {  // commit; a no-op write keeps fp_ unchanged
+    if (rewind_base_set_) {
+      undo_.push_back({req.reg, a.before});
+    }
     const auto ur = static_cast<std::uint64_t>(req.reg);
     mem_.fp_ ^= fp_slot(ur, sl.value) ^ fp_slot(ur, a.after);
     sl.value = a.after;
@@ -494,6 +497,7 @@ void Sim::rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint,
                            // need the reset folded in here
   }
   mem_.restore(base_memory_);
+  undo_.clear();  // the replay below re-logs the prefix's writes
   next_seq_ = base_seq_;
   recorder_.clear();  // like a fork, the rewound run's trace starts empty
 
@@ -550,14 +554,10 @@ void Sim::capture_mark(RewindMark& mark) const {
   if (!rewind_base_set_) {
     throw std::logic_error("Sim::capture_mark: mark_rewind_base was not called");
   }
-  const std::size_t nregs = static_cast<std::size_t>(mem_.size());
-  mark.memory.resize(nregs);
-  for (std::size_t r = 0; r < nregs; ++r) {
-    mark.memory[r] = mem_.slots_[r].value;  // friend access: no realloc
-  }
   mark.fingerprint = mem_.fingerprint();
   mark.seq = next_seq_;
   mark.prefix_len = sched_log_.size();
+  mark.undo_len = undo_.size();
   mark.digests.resize(procs_.size());
   mark.naccesses.resize(procs_.size());
   mark.pid_units.resize(procs_.size());
@@ -576,9 +576,9 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
     throw std::logic_error(
         "Sim::rewind_to_mark: mark_rewind_base was not called");
   }
-  if (mark.prefix_len > sched_log_.size()) {
+  if (mark.prefix_len > sched_log_.size() || mark.undo_len > undo_.size()) {
     throw std::out_of_range(
-        "Sim::rewind_to_mark: mark prefix exceeds the schedule log");
+        "Sim::rewind_to_mark: mark prefix exceeds the schedule or undo log");
   }
   if (quiet_replay_) {
     throw std::logic_error("Sim::rewind_to_mark: already replaying");
@@ -674,10 +674,18 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
   quiet_replay_ = false;
   bulk_replay_ = false;
 
-  // Shared state comes from the mark by assignment; per-process digests
-  // and access counts too (they fold memory values the value replay never
-  // sees). Untouched processes already carry the mark's values.
-  mem_.restore(mark.memory);
+  // Shared memory: undo every write past the mark, newest first.
+  // Per-process digests and access counts come from the mark by
+  // assignment (they fold memory values the value replay never sees).
+  // Untouched processes already carry the mark's values.
+  while (undo_.size() > mark.undo_len) {
+    const UndoEntry e = undo_.back();
+    undo_.pop_back();
+    RegisterFile::Slot& sl = mem_.slots_[static_cast<std::size_t>(e.reg)];
+    const auto ur = static_cast<std::uint64_t>(e.reg);
+    mem_.fp_ ^= fp_slot(ur, sl.value) ^ fp_slot(ur, e.before);
+    sl.value = e.before;
+  }
   next_seq_ = mark.seq;
   for (Pid pid = 0; pid < process_count(); ++pid) {
     const auto up = static_cast<std::size_t>(pid);

@@ -385,10 +385,12 @@ class Sim {
   /// Like fork(), the replay runs with sinks, trace materialization, and
   /// invariant checks suppressed; any materialized trace is cleared.
   /// Attached sinks stay attached and see only post-rewind events — reset
-  /// their state alongside (the explorer restores its accumulator by
-  /// assignment). Verification: `expect_fingerprint == 0` skips it;
-  /// otherwise the memory fingerprint and event counter must match or the
-  /// rewind throws std::logic_error. `expect_memory`, when non-null, also
+  /// their state alongside (the explorer rebuilds its accumulator). The
+  /// register undo log is cleared and re-logged by the replay, so a
+  /// RewindMark captured at or below `prefix_len` stays valid.
+  /// Verification: `expect_fingerprint == 0` skips it; otherwise the
+  /// memory fingerprint and event counter must match or the rewind throws
+  /// std::logic_error. `expect_memory`, when non-null, also
   /// compares full register values (debug; costs a snapshot per call).
   void rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint = 0,
                  Seq expect_seq = 0,
@@ -401,20 +403,24 @@ class Sim {
 
   /// --- Mark-based partial rewind (the explorer's restore round 3). ---
 
-  /// A restore point along the current run: shared memory, the event
-  /// counter, and each process's observation digest and access count at a
-  /// schedule-log prefix. A mark does NOT capture coroutine frames (they
-  /// cannot be copied); rewind_to_mark() instead *value-replays* only the
-  /// processes that executed units past the mark, feeding each unit the
-  /// Value the original execution delivered (its per-pid value tape) so the
-  /// coroutine re-reaches its suspension point without touching memory.
-  /// Processes with no units past the mark are left entirely alone — the
-  /// savings over rewind_to(), which resets and replays every process.
+  /// A restore point along the current run: the length of the register
+  /// undo log, the event counter, and each process's observation digest
+  /// and access count at a schedule-log prefix. A mark holds no register
+  /// values: every register write of a rewindable simulation appends its
+  /// (register, value before) pair to the undo log, and rewind_to_mark()
+  /// pops the log back to the mark's length. A mark does NOT capture
+  /// coroutine frames (they cannot be copied); rewind_to_mark() instead
+  /// *value-replays* only the processes that executed units past the mark,
+  /// feeding each unit the Value the original execution delivered (its
+  /// per-pid value tape) so the coroutine re-reaches its suspension point
+  /// without touching memory. Processes with no units past the mark are
+  /// left entirely alone — the savings over rewind_to(), which resets and
+  /// replays every process.
   struct RewindMark {
-    MemorySnapshot memory;
     std::uint64_t fingerprint = 0;  ///< RegisterFile::fingerprint() at capture
     Seq seq = 0;                    ///< event counter at capture
     std::size_t prefix_len = 0;     ///< schedule-log length at capture
+    std::size_t undo_len = 0;       ///< register undo-log length at capture
     std::vector<std::uint64_t> digests;    ///< per-pid process_digest()
     std::vector<std::uint64_t> naccesses;  ///< per-pid access_count()
     /// Per-pid schedule-unit counts within the prefix (start unit
@@ -426,7 +432,7 @@ class Sim {
   /// Captures a RewindMark at the current point of the run, reusing the
   /// mark's buffers (steady-state allocation-free when the caller recycles
   /// marks, as the explorer's per-depth mark pool does). Requires
-  /// mark_rewind_base(); O(registers + processes).
+  /// mark_rewind_base(); O(processes) — no register is copied.
   void capture_mark(RewindMark& mark) const;
 
   /// Repositions THIS simulation at `mark` (which must have been captured
@@ -437,10 +443,13 @@ class Sim {
   /// — are reset to their pre-start state and value-replayed over their
   /// own units of the prefix: each access is fed the recorded delivered
   /// value instead of re-executing against memory, so shared memory is
-  /// restored by assignment from the mark and untouched processes keep
-  /// their live coroutines as-is. Digests and access counts of touched
-  /// processes are restored from the mark (they fold memory values a
-  /// value-replay cannot see). Sinks/trace semantics match rewind_to().
+  /// restored by popping the register undo log back to the mark (O(writes
+  /// past the mark), not O(registers)) and untouched processes keep their
+  /// live coroutines as-is. A unit that threw after committing its write
+  /// (a mutual-exclusion violation) logged that write like any other, so
+  /// it is undone too. Digests and access counts of touched processes are
+  /// restored from the mark (they fold memory values a value-replay cannot
+  /// see). Sinks/trace semantics match rewind_to().
   ///
   /// Sound because a process with units past the mark was runnable at the
   /// mark, so its prefix units contain no crash/finish and every recorded
@@ -597,6 +606,18 @@ class Sim {
   /// re-executing accesses — and, because the tape is already per-pid, it
   /// never scans the global schedule prefix for the process's units.
   std::vector<std::vector<Value>> tape_;
+  /// One register write of a rewindable simulation: the register and the
+  /// value it held before the write.
+  struct UndoEntry {
+    RegId reg;
+    Value before;
+  };
+  /// Register undo log (rewindable simulations only): one entry per
+  /// value-changing write since mark_rewind_base(), in execution order.
+  /// rewind_to_mark() pops it back to RewindMark::undo_len; rewind_to()
+  /// clears it and rebuilds it during its replay, so a mark at or below the
+  /// replayed prefix stays valid.
+  std::vector<UndoEntry> undo_;
   /// Scratch for rewind_to_mark's touched-process scan (recycled).
   std::vector<char> touched_buf_;
   /// Scratch for rewind_to's per-pid tape truncation (recycled).

@@ -107,11 +107,12 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, MutexSafety, ::testing::Range(0, 8),
 
 // Regression for a pitfall found while reproducing Theorem 3: the paper
 // phrases the tree exit as "execute the exit code in all the nodes in its
-// path from the leaf to the root". That order is safe for Lamport nodes
-// (validated by the exploration above) but unsafe for Peterson nodes — a
-// same-subtree successor reaches an upper node after the leaf release, and
-// the exiting process's later release of the shared side erases the
+// path from the leaf to the root". That order is unsafe for Peterson nodes
+// — a same-subtree successor reaches an upper node after the leaf release,
+// and the exiting process's later release of the shared side erases the
 // successor's intent flag. Random schedules find the double-CS reliably.
+// It is unsafe for Lamport nodes too (next test), so both trees release
+// root to leaf.
 TEST(TournamentExitOrder, LeafToRootIsUnsafeForPetersonNodes) {
   int violations = 0;
   for (std::uint64_t seed = 0; seed < 40 && violations == 0; ++seed) {
@@ -127,6 +128,33 @@ TEST(TournamentExitOrder, LeafToRootIsUnsafeForPetersonNodes) {
     }
   }
   EXPECT_GT(violations, 0);
+}
+
+// The Lamport-node analogue: under leaf-to-root release a same-group
+// successor wins the released leaf and enters an upper Lamport node under
+// the exiting process's local id before that process has exited it. The
+// explorations above cap n at 5, below the group sizes that reach it;
+// these are the Theorem 3 trees and seeds at which the leaf-to-root
+// release admitted two processes to the critical section.
+TEST(TournamentExitOrder, LamportTreeReleasesRootToLeaf) {
+  struct Case {
+    const char* name;
+    MutexFactory factory;
+    int n;
+  };
+  const Case cases[] = {
+      {"thm3-paper-l1", theorem3_factory(1, TreeArity::PaperLiteral), 16},
+      {"thm3-exact-l2", theorem3_factory(2, TreeArity::ExactAtomicity), 64},
+  };
+  for (const Case& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      Sim sim;
+      auto alg = setup_mutex(sim, c.factory, c.n, /*sessions=*/2);
+      RandomScheduler rnd(seed);
+      EXPECT_NO_THROW(drive(sim, rnd, RunLimits{200'000}))
+          << c.name << " n=" << c.n << " seed=" << seed;
+    }
+  }
 }
 
 // A deliberately broken "mutex" (no synchronization at all): the bounded

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -269,6 +270,135 @@ TEST(Rewind, MarkRestoreMatchesForkUnderCrashInjection) {
     SCOPED_TRACE(e->info.name);
     mark_rewind_and_compare(e->factory, 4, {{0, 3}, {2, 1}}, 5);
   }
+}
+
+/// A mutex with no synchronization: enter writes the process's own id to
+/// one shared register, so the unit that commits that write and then
+/// enters the critical section next to another process throws
+/// MutualExclusionViolation after its write took effect.
+class RacyMutex final : public MutexAlgorithm {
+ public:
+  explicit RacyMutex(RegisterFile& mem) { r_ = mem.add_register("racy", 8); }
+  Task<void> enter(ProcessContext& ctx, int slot) override {
+    co_await ctx.write(r_, static_cast<Value>(slot + 1));
+  }
+  Task<void> exit(ProcessContext& ctx, int) override {
+    co_await ctx.write(r_, 0);
+  }
+  Task<Value> try_enter(ProcessContext& ctx, int slot, RegId) override {
+    co_await enter(ctx, slot);
+    co_return 1;
+  }
+  [[nodiscard]] int capacity() const override { return 64; }
+  [[nodiscard]] int atomicity() const override { return 8; }
+  [[nodiscard]] std::string algorithm_name() const override {
+    return "racy";
+  }
+
+ private:
+  RegId r_;
+};
+
+/// Nested marks against the fork oracle: a random walk over the
+/// operations the explorer composes — step a random runnable process,
+/// capture a mark (pushed on a stack, the current path's checkpoints),
+/// rewind to a random stacked mark (inner or outer; the marks above it
+/// are popped, since the run is now past them), and rewind_to() the
+/// prefix of a stacked mark (which must leave every mark at or below it
+/// valid). After every rewind the live sim must equal a Sim::fork of the
+/// same prefix. A step that throws MutualExclusionViolation (its write
+/// already committed) poisons the sim until the next rewind. Returns the
+/// number of violating units, so callers can check the path was taken.
+int nested_marks_against_fork(const MutexFactory& factory, int n,
+                              int sessions,
+                              const std::vector<CrashPlan>& crashes,
+                              std::uint64_t seed) {
+  const SimBuilder rebuild = mutex_builder(factory, n, sessions, crashes);
+  Sim live;
+  rebuild(live);
+  live.mark_rewind_base();
+
+  std::vector<Sim::RewindMark> stack(1);
+  live.capture_mark(stack[0]);  // the run start: never popped
+  std::mt19937_64 rng(seed);
+  bool poisoned = false;
+  int violations = 0;
+  int rewinds = 0;
+
+  const auto compare_with_fork = [&](std::size_t fed, std::size_t len) {
+    ++rewinds;
+    ASSERT_EQ(live.schedule_log().size(), len);
+    EXPECT_LE(fed, len);
+    const std::unique_ptr<Sim> reference =
+        Sim::fork(std::span(live.schedule_log().data(), len),
+                  /*expect_fingerprint=*/0, /*expect_seq=*/0, rebuild);
+    expect_same_state(live, *reference);
+  };
+
+  for (int op = 0; op < 400; ++op) {
+    const std::uint64_t roll = rng() % 16;
+    std::vector<Pid> runnable;
+    for (Pid p = 0; p < n; ++p) {
+      if (live.runnable(p)) {
+        runnable.push_back(p);
+      }
+    }
+    if (poisoned || runnable.empty() || roll >= 12) {
+      const std::size_t k = rng() % stack.size();
+      stack.resize(k + 1);
+      const std::size_t len = stack[k].prefix_len;
+      if (roll == 15) {
+        // Full in-place replay of the mark's prefix: the undo log is
+        // rebuilt, so this mark and every one below it stay usable.
+        live.rewind_to(len, stack[k].fingerprint, stack[k].seq);
+        compare_with_fork(0, len);
+      } else {
+        compare_with_fork(live.rewind_to_mark(stack[k]), len);
+      }
+      poisoned = false;
+    } else if (roll >= 9) {
+      stack.emplace_back();
+      live.capture_mark(stack.back());
+    } else {
+      try {
+        live.step(runnable[rng() % runnable.size()]);
+      } catch (const MutualExclusionViolation&) {
+        ++violations;
+        poisoned = true;
+      }
+    }
+  }
+  EXPECT_GT(rewinds, 20);
+  return violations;
+}
+
+TEST(Rewind, NestedMarksMatchForkAcrossAllRegistryMutexAlgorithms) {
+  for (const MutexAlgorithmEntry* e :
+       AlgorithmRegistry::instance().mutex_for_n(3)) {
+    SCOPED_TRACE(e->info.name);
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      nested_marks_against_fork(e->factory, 3, 2, {}, seed);
+    }
+  }
+}
+
+TEST(Rewind, NestedMarksMatchForkUnderCrashInjection) {
+  for (const MutexAlgorithmEntry* e :
+       AlgorithmRegistry::instance().mutex_for_n(4)) {
+    SCOPED_TRACE(e->info.name);
+    nested_marks_against_fork(e->factory, 4, 2, {{0, 3}, {2, 1}}, 7);
+  }
+}
+
+TEST(Rewind, NestedMarksUndoTheWriteOfAViolatingUnit) {
+  const MutexFactory racy = [](RegisterFile& mem, int) {
+    return std::make_unique<RacyMutex>(mem);
+  };
+  int violations = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    violations += nested_marks_against_fork(racy, 3, 3, {{1, 4}}, seed);
+  }
+  EXPECT_GT(violations, 0);
 }
 
 void expect_same_report(const ComplexityReport& a, const ComplexityReport& b) {

@@ -3,9 +3,12 @@
 // functions in core/measures.h compute over the recorded trace — totals,
 // contention-free sessions, clean entry windows, and exit windows — on
 // randomized schedules across algorithm families, with and without crash
-// injection.
+// injection. MeasureAccumulator::rewind_to is differential-tested against
+// copy-assignment on randomized event streams.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
 #include <vector>
 
 #include "core/algorithm_registry.h"
@@ -146,6 +149,119 @@ TEST(StreamingMeasures, AgreesWithTraceWhenRecordingDisabled) {
     expect_reports_equal(acc.total(pid), measure_all(traced.trace(), pid),
                          "recording-off pid=" + std::to_string(pid));
   }
+}
+
+void expect_same_accumulator(const MeasureAccumulator& a,
+                             const MeasureAccumulator& b,
+                             const std::string& what) {
+  ASSERT_EQ(a.process_count(), b.process_count()) << what;
+  EXPECT_EQ(a.digest(), b.digest()) << what;
+  EXPECT_EQ(a.window_digest(), b.window_digest()) << what;
+  EXPECT_EQ(a.truncated(), b.truncated()) << what;
+  for (Pid pid = 0; pid < a.process_count(); ++pid) {
+    const std::string who = what + " pid=" + std::to_string(pid);
+    expect_reports_equal(a.total(pid), b.total(pid), who + " total");
+    expect_reports_equal(a.contention_free_session_max(pid),
+                         b.contention_free_session_max(pid),
+                         who + " cf-session");
+    expect_reports_equal(a.clean_entry_max(pid), b.clean_entry_max(pid),
+                         who + " clean-entry");
+    expect_reports_equal(a.exit_max(pid), b.exit_max(pid), who + " exit");
+    EXPECT_EQ(a.total(pid).truncated, b.total(pid).truncated) << who;
+    EXPECT_EQ(a.contention_free_session_count(pid),
+              b.contention_free_session_count(pid))
+        << who;
+  }
+}
+
+/// Seeded randomized differential of MeasureAccumulator::rewind_to against
+/// copy-assignment: a synthetic event stream (accesses on a few registers,
+/// section changes between arbitrary sections — so other processes'
+/// cf-session and clean-entry `clean` flags flip — and terminal events)
+/// drives `acc`; snapshots are pushed on a stack (the current path's
+/// checkpoints) at random points, and at others `acc` rewinds to a random
+/// stacked snapshot while a reference is copy-assigned from it. Digests
+/// are read at random points too, so rewinds meet both fresh and stale
+/// cached digest contributions.
+TEST(StreamingMeasures, RewindToAncestorMatchesCopyAssignment) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    std::mt19937_64 rng(seed);
+    const int n = 2 + static_cast<int>(seed % 5);
+    MeasureAccumulator acc(n);
+    MeasureAccumulator ref(n);
+    std::vector<MeasureAccumulator> stack{acc};
+    std::vector<Section> section(static_cast<std::size_t>(n),
+                                 Section::Remainder);
+    std::vector<std::vector<Section>> section_stack{section};
+    Seq seq = 0;
+    int rewinds = 0;
+    for (int op = 0; op < 3000; ++op) {
+      const std::uint64_t roll = rng() % 100;
+      const auto pid = static_cast<Pid>(rng() % static_cast<std::uint64_t>(n));
+      TraceEvent ev;
+      ev.seq = seq++;
+      ev.pid = pid;
+      if (roll < 50) {
+        ev.kind = TraceEvent::Kind::Access;
+        ev.access.seq = ev.seq;
+        ev.access.pid = pid;
+        ev.access.reg = static_cast<RegId>(rng() % 6);
+        ev.access.kind =
+            (rng() % 2 == 0) ? AccessKind::Read : AccessKind::Write;
+        ev.access.width = 1 + static_cast<int>(rng() % 4);
+      } else if (roll < 75) {
+        ev.kind = TraceEvent::Kind::SectionChange;
+        Section& cur = section[static_cast<std::size_t>(pid)];
+        ev.from = cur;
+        ev.to = static_cast<Section>(rng() % 6);
+        cur = ev.to;
+      } else if (roll < 77) {
+        ev.kind = (rng() % 2 == 0) ? TraceEvent::Kind::Crash
+                                   : TraceEvent::Kind::Finish;
+      } else if (roll < 85) {
+        stack.push_back(acc);
+        section_stack.push_back(section);
+        continue;
+      } else if (roll < 95) {
+        const std::size_t k = rng() % stack.size();
+        const auto keep = static_cast<std::ptrdiff_t>(k + 1);
+        stack.erase(stack.begin() + keep, stack.end());
+        section_stack.erase(section_stack.begin() + keep,
+                            section_stack.end());
+        acc.rewind_to(stack[k]);
+        ref = stack[k];
+        section = section_stack[k];
+        ++rewinds;
+        expect_same_accumulator(acc, ref,
+                                "seed=" + std::to_string(seed) + " op=" +
+                                    std::to_string(op));
+        continue;
+      } else if (roll < 98) {
+        (void)acc.digest();  // refresh cached contributions
+        continue;
+      } else {
+        acc.mark_truncated();
+        ref.mark_truncated();
+        continue;
+      }
+      acc.on_event(ev);
+      ref.on_event(ev);
+    }
+    EXPECT_GT(rewinds, 100);
+    expect_same_accumulator(acc, ref, "seed=" + std::to_string(seed));
+  }
+}
+
+TEST(StreamingMeasures, RewindToRejectsNonAncestors) {
+  MeasureAccumulator acc(2);
+  EXPECT_THROW(acc.rewind_to(MeasureAccumulator(3)), std::invalid_argument);
+  MeasureAccumulator later = acc;
+  TraceEvent ev;
+  ev.kind = TraceEvent::Kind::SectionChange;
+  ev.pid = 0;
+  ev.to = Section::Entry;
+  later.on_event(ev);
+  EXPECT_THROW(acc.rewind_to(later), std::logic_error);
 }
 
 TEST(StreamingMeasures, SinkCanBeRemoved) {
