@@ -554,89 +554,6 @@ int main(int argc, char** argv) {
     std::printf("%s\n", tree.render().c_str());
   }
 
-  // --- 3d. Static dependence refinement (src/sa/): the footprint pass's
-  // may-conflict table refines the worst-case pending-side dependence
-  // checks (unstarted first units, armed crash units, section-quiet plain
-  // writes). Hard gates: the refined search certifies bit-identical values
-  // and never explores more states / detects more races / inserts more
-  // backtrack points than the unrefined source-dpor search — and at least
-  // one of those counters measurably DECREASES, so the refinement is
-  // demonstrably load-bearing, not just sound.
-  {
-    std::printf(
-        "Static dependence refinement under source-DPOR "
-        "(peterson-tree, n=4):\n\n");
-    TextTable sa({"depth", "states", "refined states", "races",
-                  "refined races", "backtracks", "refined backtracks",
-                  "refined pairs"});
-    const int sa_depths[] = {12, 14};
-    for (const int depth : sa_depths) {
-      Explorer::Result plain;
-      const double ms_plain = cfc::bench::min_ms_of(opts.repeat, [&] {
-        plain = Explorer(tree_dpor_config(depth)).run(runner.get());
-      });
-      Explorer::Config sa_cfg = tree_dpor_config(depth);
-      sa_cfg.limits.static_refine = true;
-      Explorer::Result refined;
-      const double ms_refined = cfc::bench::min_ms_of(opts.repeat, [&] {
-        refined = Explorer(sa_cfg).run(runner.get());
-      });
-      sa.add_row({std::to_string(depth),
-                  std::to_string(plain.stats.states_visited),
-                  std::to_string(refined.stats.states_visited),
-                  std::to_string(plain.stats.races_detected),
-                  std::to_string(refined.stats.races_detected),
-                  std::to_string(plain.stats.backtrack_points),
-                  std::to_string(refined.stats.backtrack_points),
-                  std::to_string(refined.stats.static_refined_pairs)});
-      json.row({{"section", std::string("static_refine")},
-                {"depth", cfc::bench::jv(depth)},
-                {"states_unrefined",
-                 cfc::bench::jv(plain.stats.states_visited)},
-                {"states_refined",
-                 cfc::bench::jv(refined.stats.states_visited)},
-                {"races_unrefined",
-                 cfc::bench::jv(plain.stats.races_detected)},
-                {"races_refined",
-                 cfc::bench::jv(refined.stats.races_detected)},
-                {"backtracks_unrefined",
-                 cfc::bench::jv(plain.stats.backtrack_points)},
-                {"backtracks_refined",
-                 cfc::bench::jv(refined.stats.backtrack_points)},
-                {"static_refined_pairs",
-                 cfc::bench::jv(refined.stats.static_refined_pairs)},
-                {"ms_unrefined", cfc::bench::jv(ms_plain)},
-                {"ms_refined", cfc::bench::jv(ms_refined)}});
-      verify.check(same_best(plain.best, refined.best) &&
-                       plain.stats.violations == refined.stats.violations,
-                   "static refinement certifies the unrefined values at "
-                   "depth " +
-                       std::to_string(depth));
-      verify.check(refined.stats.states_visited <=
-                           plain.stats.states_visited &&
-                       refined.stats.races_detected <=
-                           plain.stats.races_detected &&
-                       refined.stats.backtrack_points <=
-                           plain.stats.backtrack_points,
-                   "static refinement never grows the reduced search at "
-                   "depth " +
-                       std::to_string(depth));
-      verify.check(refined.stats.static_refined_pairs > 0,
-                   "static refinement flips dependence pairs at depth " +
-                       std::to_string(depth));
-      verify.check(refined.stats.states_visited <
-                           plain.stats.states_visited ||
-                       refined.stats.races_detected <
-                           plain.stats.races_detected ||
-                       refined.stats.backtrack_points <
-                           plain.stats.backtrack_points,
-                   "static refinement measurably shrinks the search at "
-                   "depth " +
-                       std::to_string(depth));
-    }
-    std::printf("%s\n", sa.render().c_str());
-  }
-
   // --- 4. Sim-level restore mechanics: reposition a measured run K times
   // by recycled rewind, by fork-by-replay, and by from-scratch replay
   // (rebuild + re-run with live measurement).

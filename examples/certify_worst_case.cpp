@@ -167,7 +167,12 @@ int main(int argc, char** argv) {
       std::printf("  ERROR: random search exceeded the certified bound\n");
       all_ok = false;
     }
-    if (ex.wc_entry.steps > rnd.wc_entry.steps) {
+    // A random run gets `depth` picks, the space the certified value
+    // covers; with many processes it may finish no entry at all, and a
+    // zero is no sample to compare against.
+    if (rnd.wc_entry.steps == 0) {
+      std::printf("  random: no entry completed within %d picks\n", c.depth);
+    } else if (ex.wc_entry.steps > rnd.wc_entry.steps) {
       std::printf(
           "  finding: exhaustive beats random sampling by %d entry steps "
           "(%d vs %d)\n",

@@ -231,7 +231,6 @@ class CellExplorer {
     // index order, keeping the totals thread-count invariant.
     out.stats.races_detected += dpor_->stats().races_detected;
     out.stats.backtrack_points += dpor_->stats().backtrack_points;
-    out.stats.static_refined_pairs += dpor_->stats().static_refined_pairs;
     flush_metrics();
   }
 
@@ -447,7 +446,7 @@ class CellExplorer {
     }
     NextStep* out = pend_pool_.data() + base;
     for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      out[static_cast<std::size_t>(p)] = next_step_of(*sim_, p, cfg_.statics.get());
+      out[static_cast<std::size_t>(p)] = next_step_of(*sim_, p);
     }
   }
 
@@ -678,8 +677,7 @@ class CellExplorer {
         if constexpr (R != Role::Grid) {
           child_sleep = transfer_sleep(SleepSet(sleep & ~bit(p)),
                                        sim_->last_step_summary(),
-                                       pend_at(depth),
-                                       &out_->stats.static_refined_pairs)
+                                       pend_at(depth))
                             .mask();
         }
         if constexpr (R == Role::Planner) {
@@ -810,16 +808,6 @@ Explorer::Explorer(Config cfg) : cfg_(std::move(cfg)) {
       throw std::invalid_argument(
           "Explorer: partial-order reduction supports at most 32 processes");
     }
-  }
-  // Static refinement (src/sa/): build the footprint/conflict model once,
-  // here — run() is const and every walk (grid cells, planner, workers)
-  // must share one deterministic model.
-  // Random search never consults pending-side dependence, so the flag is
-  // inert there and the analysis cost is skipped.
-  if (cfg_.limits.static_refine &&
-      cfg_.strategy != SearchStrategy::Random && !cfg_.statics) {
-    cfg_.statics = std::make_shared<const StaticModel>(
-        StaticModel::analyze(cfg_.setup, cfg_.nprocs));
   }
 }
 

@@ -11,7 +11,6 @@
 
 #include "analysis/experiment_runner.h"
 #include "core/streaming_measures.h"
-#include "sa/static_summary.h"
 #include "sched/sched.h"
 #include "sched/sim.h"
 
@@ -89,16 +88,6 @@ struct ExploreLimits {
   /// pruned node, so the path-dependent backtrack insertions the skipped
   /// subtree owes the current path are conservatively re-placed.
   ReductionPolicy reduction = ReductionPolicy::Off;
-  /// Static dependence refinement (src/sa/): the Explorer dry-runs the
-  /// configuration's footprint pass once up front (StaticModel::analyze)
-  /// and the DFS strategies consult the resulting may-conflict table to
-  /// refine the worst-case pending-side dependence checks — unstarted
-  /// first units, armed crash units, and statically section-quiet plain
-  /// writes (see por/dependence.h for the refinement and its soundness
-  /// split). Value-preserving by construction/gating: the sa differential
-  /// suite pins refined results bit-identical to unrefined ones. Off by
-  /// default (opt-in per search); ignored by the Random strategy.
-  bool static_refine = false;
 };
 
 /// Every u64 counter of ExploreStats, one row each — the single
@@ -117,7 +106,6 @@ struct ExploreLimits {
   X(races_detected)                   \
   X(backtrack_points)                 \
   X(sleep_blocked)                    \
-  X(static_refined_pairs)             \
   X(restores)                         \
   X(value_replayed_steps)             \
   X(restore_marks)                    \
@@ -137,14 +125,6 @@ struct ExploreStats {
   std::uint64_t races_detected = 0;   ///< SourceDpor: races found in traces
   std::uint64_t backtrack_points = 0; ///< SourceDpor: source-set insertions
   std::uint64_t sleep_blocked = 0;    ///< enabled branches skipped asleep
-  /// Pending-side dependence pairs the static refinement
-  /// (ExploreLimits::static_refine, src/sa/) flipped from worst-case
-  /// dependent to independent — each one a sleep transfer kept, a
-  /// cut-point bucket not placed, or an initial-set membership granted
-  /// that the unrefined relation would have denied. Zero when the
-  /// refinement is off. Thread-count invariant, like every counter here
-  /// except steals/sims_built.
-  std::uint64_t static_refined_pairs = 0;
   std::uint64_t restores = 0;        ///< sibling backtracks performed
   /// Units re-fed from the recorded value log by restores
   /// (Sim::rewind_to_mark): coroutine resumption with recorded values, no
@@ -257,11 +237,6 @@ class Explorer {
     std::vector<std::uint64_t> seeds;  ///< Random: one run per seed
     std::uint64_t random_budget = 200'000;  ///< Random: steps per run
     ExploreObjective objective;
-    /// The static may-conflict table (limits.static_refine): built once
-    /// by the Explorer constructor from `setup`, shared read-only across
-    /// every cell/worker, so the pass runs once per search. Null when
-    /// refinement is off.
-    std::shared_ptr<const StaticModel> statics;
   };
 
   struct Result {

@@ -103,11 +103,6 @@ StudySpec& StudySpec::reduction(ReductionPolicy policy) {
   return *this;
 }
 
-StudySpec& StudySpec::static_refine(bool on) {
-  search.limits.static_refine = on;
-  return *this;
-}
-
 StudySpec& StudySpec::detector_battery() {
   search.detector_round_robin = true;
   return *this;
@@ -148,14 +143,10 @@ StudySpec& StudySpec::limits(const ExploreLimits& l) {
   // carrying a policy — always wins; to force the unreduced tree, call
   // reduction(ReductionPolicy::Off).
   const ReductionPolicy keep = search.limits.reduction;
-  // static_refine() is sticky the same way: a struct that leaves the flag
-  // at its (false) default keeps an earlier opt-in.
-  const bool keep_sa = search.limits.static_refine;
   search.limits = l;
   if (l.reduction == ReductionPolicy::Off) {
     search.limits.reduction = keep;
   }
-  search.limits.static_refine = search.limits.static_refine || keep_sa;
   return *this;
 }
 
@@ -710,7 +701,6 @@ std::string search_key(const WorstCaseSearchOptions& o) {
          "|frontier=" + std::to_string(o.limits.frontier_depth) +
          "|prune=" + std::to_string(o.limits.prune_visited ? 1 : 0) +
          "|reduction=" + name(o.limits.reduction) +
-         "|sa=" + std::to_string(o.limits.static_refine ? 1 : 0) +
          "|rr=" + std::to_string(o.detector_round_robin ? 1 : 0) +
          "|crash=" + seeds_key(o.crash_after);
 }

@@ -123,10 +123,6 @@ struct StudySpec {
   StudySpec& worst_case(const WorstCaseSearchOptions& options);
   /// The partial-order-reduction policy of the DFS strategies.
   StudySpec& reduction(ReductionPolicy policy);
-  /// Opts the DFS strategies into the static footprint/conflict refinement
-  /// of the dependence relation (src/sa/, ExploreLimits::static_refine).
-  /// Sticky across a later limits() call, like the reduction policy.
-  StudySpec& static_refine(bool on = true);
   /// Detector + Random only: include the round-robin schedule in the
   /// battery (the legacy detector worst-case battery shape).
   StudySpec& detector_battery();
@@ -169,9 +165,7 @@ struct StudySpec {
   X(sleep_blocked, "sleep_blocked", sleep_blocked, true)                  \
   X(cache_hits, "cache_hits", pruned_visited, false)                      \
   X(work_items, "work_items", work_items, false)                          \
-  X(restore_marks, "restore_marks", restore_marks, false)                 \
-  X(static_refined_pairs, "static_refined_pairs", static_refined_pairs,   \
-    false)
+  X(restore_marks, "restore_marks", restore_marks, false)
 
 /// The uniform result of one study. Absent measurements are flagged off and
 /// zero-valued. Semantics per kind:
@@ -217,11 +211,6 @@ struct StudyResult {
   /// the canonical JSON stays byte-identical at every thread count).
   std::uint64_t work_items = 0;
   std::uint64_t restore_marks = 0;
-  /// Static model analysis (src/sa/): pending-side dependence pairs the
-  /// footprint/conflict refinement flipped from worst-case dependent to
-  /// independent during the search. Zero unless the spec opted in via
-  /// static_refine() (ExploreLimits::static_refine).
-  std::uint64_t static_refined_pairs = 0;
   ComplexityReport wc;
   ComplexityReport wc_entry;
   ComplexityReport wc_exit;

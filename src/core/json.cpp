@@ -1,12 +1,19 @@
 #include "core/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 namespace cfc::json {
 
 namespace {
+
+/// Deepest object/array nesting parse() accepts. Study, bench and trace
+/// JSON nest a few levels; the cap keeps hostile input from overflowing
+/// the recursive descent's stack.
+constexpr int kMaxDepth = 64;
 
 class Parser {
  public:
@@ -54,9 +61,16 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        // A failed parse discards the parser, so only the success path
+        // needs to unwind the count.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting too deep");
+        }
+        Node node = c == '{' ? object() : array();
+        --depth_;
+        return node;
+      }
       case '"':
         return string_node();
       case 't':
@@ -228,10 +242,30 @@ class Parser {
 
   const std::string& src_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 [[noreturn]] void fail_type(const char* expected) {
   throw std::invalid_argument(std::string("JSON: expected ") + expected);
+}
+
+/// The whole raw number text as an integer of type T: a fraction, an
+/// exponent, a value out of T's range, or (T unsigned) a sign is
+/// malformed input.
+template <typename T>
+T to_integer(const Node& n, const char* expected) {
+  if (n.type != Node::Type::Number) {
+    fail_type("a number");
+  }
+  T out{};
+  const char* const first = n.text.data();
+  const char* const last = first + n.text.size();
+  const auto [ptr, ec] = std::from_chars(first, last, out);
+  if (ec != std::errc() || ptr != last) {
+    throw std::invalid_argument("JSON: expected " + std::string(expected) +
+                                ", got " + n.text);
+  }
+  return out;
 }
 
 }  // namespace
@@ -255,18 +289,10 @@ const Node& member(const Node& obj, const char* key) {
   return it->second;
 }
 
-int to_int(const Node& n) {
-  if (n.type != Node::Type::Number) {
-    fail_type("a number");
-  }
-  return static_cast<int>(std::strtol(n.text.c_str(), nullptr, 10));
-}
+int to_int(const Node& n) { return to_integer<int>(n, "an int"); }
 
 std::uint64_t to_u64(const Node& n) {
-  if (n.type != Node::Type::Number) {
-    fail_type("a number");
-  }
-  return std::strtoull(n.text.c_str(), nullptr, 10);
+  return to_integer<std::uint64_t>(n, "an unsigned 64-bit integer");
 }
 
 double to_double(const Node& n) {

@@ -13,7 +13,9 @@ namespace cfc::json {
 /// and the trace validator (obs/trace.cpp). Numbers keep their raw text so
 /// 64-bit counters round-trip exactly; \u escapes are supported up to
 /// \u00ff (the canonical serializers only emit control-code escapes).
-/// parse() throws std::invalid_argument on malformed input.
+/// parse() throws std::invalid_argument on malformed input, including
+/// object/array nesting deeper than a fixed cap far above what any of
+/// those payloads use.
 struct Node {
   enum class Type { Object, Array, String, Number, Bool, Null };
   Type type = Type::Null;
@@ -33,7 +35,9 @@ struct Node {
 
 /// Typed accessors: a mistyped field (a string where a number belongs, a
 /// number where a bool belongs) is malformed input and throws
-/// std::invalid_argument, never silently parses to 0/false.
+/// std::invalid_argument, never silently parses to 0/false. to_int and
+/// to_u64 likewise throw on a fraction, an exponent, an out-of-range value
+/// or (to_u64) a negative one, rather than truncating or wrapping it.
 [[nodiscard]] const Node& member(const Node& obj, const char* key);
 [[nodiscard]] int to_int(const Node& n);
 [[nodiscard]] std::uint64_t to_u64(const Node& n);

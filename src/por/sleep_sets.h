@@ -46,12 +46,9 @@ class SleepSet {
 /// wakes the sleeper. `pends` holds every process's NextStep captured at
 /// the parent node, indexed by pid; the executing process itself must not
 /// be in `candidates`.
-/// `refined_pairs`, when non-null, accumulates the statically refined
-/// pairs the transfer kept asleep (por/dependence.h counter overloads).
 [[nodiscard]] SleepSet transfer_sleep(SleepSet candidates,
                                       const StepSummary& taken,
-                                      std::span<const NextStep> pends,
-                                      std::uint64_t* refined_pairs = nullptr);
+                                      std::span<const NextStep> pends);
 
 }  // namespace cfc
 

@@ -93,7 +93,7 @@ void SourceDpor::note_cut(std::uint32_t enabled_mask,
         break;
       }
       if (i + 1 == trace_.size() ||
-          dependent(d.step, pend, &stats_.static_refined_pairs)) {
+          dependent(d.step, pend)) {
         insert(d.node_depth, q);
       }
     }
@@ -137,8 +137,7 @@ void SourceDpor::note_cut(std::uint32_t enabled_mask,
       if (q != u.step.pid &&
           ((enabled_mask >> static_cast<unsigned>(q)) & 1u) != 0 &&
           (!u.step.accessed ||
-           dependent(u.step, pends[static_cast<std::size_t>(q)],
-                     &stats_.static_refined_pairs))) {
+           dependent(u.step, pends[static_cast<std::size_t>(q)]))) {
         insert(u.node_depth, q);
       }
     }
@@ -227,8 +226,7 @@ Pid SourceDpor::choose_initial(std::size_t d_index, Pid q,
       const bool dep =
           virtual_pend == nullptr
               ? dependent(trace_[j].step, trace_[v_end].step)
-              : dependent(trace_[j].step, *virtual_pend,
-                          &stats_.static_refined_pairs);
+              : dependent(trace_[j].step, *virtual_pend);
       if (dep) {
         initial = false;
         break;

@@ -52,10 +52,6 @@ class SourceDpor {
   struct Stats {
     std::uint64_t races_detected = 0;
     std::uint64_t backtrack_points = 0;  ///< insertions applied
-    /// Pending-side pairs the static refinement (src/sa/) flipped from
-    /// worst-case dependent to independent inside this engine's cut-point
-    /// and initial-set decisions (por/dependence.h counter overloads).
-    std::uint64_t static_refined_pairs = 0;
   };
 
   explicit SourceDpor(int nprocs);

@@ -313,8 +313,7 @@ struct TraversalPin {
   int max_preemptions;
   ReductionPolicy reduction;
   bool prune;
-  bool static_refine;
-  std::array<std::uint64_t, 13> counters;
+  std::array<std::uint64_t, 12> counters;
 };
 
 constexpr std::uint64_t ExploreStats::*kPinnedCounters[] = {
@@ -322,9 +321,8 @@ constexpr std::uint64_t ExploreStats::*kPinnedCounters[] = {
     &ExploreStats::runs_truncated,   &ExploreStats::pruned_visited,
     &ExploreStats::violations,       &ExploreStats::races_detected,
     &ExploreStats::backtrack_points, &ExploreStats::sleep_blocked,
-    &ExploreStats::static_refined_pairs, &ExploreStats::restores,
-    &ExploreStats::restore_marks,    &ExploreStats::value_replayed_steps,
-    &ExploreStats::work_items,
+    &ExploreStats::restores,         &ExploreStats::restore_marks,
+    &ExploreStats::value_replayed_steps, &ExploreStats::work_items,
 };
 
 Explorer::Config pinned_config(const TraversalPin& pin) {
@@ -339,7 +337,6 @@ Explorer::Config pinned_config(const TraversalPin& pin) {
   cfg.limits.max_preemptions = pin.max_preemptions;
   cfg.limits.reduction = pin.reduction;
   cfg.limits.prune_visited = pin.prune;
-  cfg.limits.static_refine = pin.static_refine;
   cfg.setup = [factory, n, crash](Sim& sim) -> std::shared_ptr<void> {
     std::shared_ptr<void> alg = setup_mutex(sim, factory, n, 1);
     if (crash) {
@@ -368,52 +365,41 @@ TEST(Explorer, PinsTheTraversalOfEverySearchConfiguration) {
   constexpr ReductionPolicy kDpor = ReductionPolicy::SourceDpor;
   // counters: states_visited, runs_completed, runs_truncated,
   // pruned_visited, violations, races_detected, backtrack_points,
-  // sleep_blocked, static_refined_pairs, restores, restore_marks,
-  // value_replayed_steps, work_items.
+  // sleep_blocked, restores, restore_marks, value_replayed_steps,
+  // work_items.
   const TraversalPin pins[] = {
       // peterson-tree n=3 d12.
       {"off, pruning off", "peterson-tree", 3, false, Exhaustive, -1, kOff,
-       false, false,
-       {796326, 0, 530712, 0, 0, 0, 0, 0, 0, 530631, 265614, 3282791, 0}},
-      {"off, pruning on", "peterson-tree", 3, false, Exhaustive, -1, kOff,
-       true, false,
-       {44031, 0, 15774, 13558, 0, 0, 0, 0, 0, 29251, 14699, 172799, 0}},
+       false,
+       {796326, 0, 530712, 0, 0, 0, 0, 0, 530631, 265614, 3282791, 0}},
+      {"off, pruning on", "peterson-tree", 3, false, Exhaustive, -1, kOff, true,
+       {44031, 0, 15774, 13558, 0, 0, 0, 0, 29251, 14699, 172799, 0}},
       {"off, bounded p=1", "peterson-tree", 3, false, Bounded, 1, kOff, true,
-       false,
-       {366, 0, 54, 0, 0, 0, 0, 0, 0, 33, 18, 105, 0}},
+       {366, 0, 54, 0, 0, 0, 0, 0, 33, 18, 105, 0}},
       {"source-dpor, stateless", "peterson-tree", 3, false, Exhaustive, -1,
-       kDpor, false, false,
-       {15188, 0, 7625, 0, 0, 6097, 8869, 1911, 0, 7624, 7563, 43113, 77}},
+       kDpor, false,
+       {15188, 0, 7625, 0, 0, 6097, 8869, 1911, 7624, 7563, 43113, 77}},
       {"source-dpor, stateful", "peterson-tree", 3, false, Exhaustive, -1,
-       kDpor, true, false,
-       {4397, 0, 1952, 364, 0, 1773, 2559, 367, 0, 2315, 2093, 12984, 18}},
-      {"source-dpor, static_refine", "peterson-tree", 3, false, Exhaustive,
-       -1, kDpor, true, true,
-       {2927, 0, 1127, 186, 0, 1228, 1481, 1146, 874, 1316, 1615, 7456, 26}},
+       kDpor, true,
+       {4397, 0, 1952, 364, 0, 1773, 2559, 367, 2315, 2093, 12984, 18}},
       // lamport-fast n=2 d12 with crash_after(1, 2).
-      {"off, pruning off", "lamport-fast", 2, true, Exhaustive, -1, kOff,
-       false, false,
-       {805, 95, 94, 0, 0, 0, 0, 0, 0, 174, 174, 1631, 0}},
+      {"off, pruning off", "lamport-fast", 2, true, Exhaustive, -1, kOff, false,
+       {805, 95, 94, 0, 0, 0, 0, 0, 174, 174, 1631, 0}},
       {"off, pruning on", "lamport-fast", 2, true, Exhaustive, -1, kOff, true,
-       false,
-       {380, 21, 24, 89, 0, 0, 0, 0, 0, 119, 119, 1070, 0}},
+       {380, 21, 24, 89, 0, 0, 0, 0, 119, 119, 1070, 0}},
       {"off, bounded p=1", "lamport-fast", 2, true, Bounded, 1, kOff, true,
-       false,
-       {47, 2, 9, 0, 0, 0, 0, 0, 0, 4, 4, 26, 0}},
+       {47, 2, 9, 0, 0, 0, 0, 0, 4, 4, 26, 0}},
       {"source-dpor, stateless", "lamport-fast", 2, true, Exhaustive, -1,
-       kDpor, false, false,
-       {224, 14, 15, 0, 0, 52, 42, 31, 0, 54, 168, 404, 15}},
+       kDpor, false,
+       {224, 14, 15, 0, 0, 52, 42, 31, 54, 168, 404, 15}},
       {"source-dpor, stateful", "lamport-fast", 2, true, Exhaustive, -1,
-       kDpor, true, false,
-       {122, 5, 9, 24, 0, 25, 29, 1, 0, 37, 85, 271, 5}},
-      {"source-dpor, static_refine", "lamport-fast", 2, true, Exhaustive, -1,
-       kDpor, true, true,
-       {90, 4, 4, 6, 0, 24, 8, 27, 27, 15, 72, 68, 6}},
+       kDpor, true,
+       {122, 5, 9, 24, 0, 25, 29, 1, 37, 85, 271, 5}},
   };
   for (const TraversalPin& pin : pins) {
     SCOPED_TRACE(std::string(pin.subject) + ": " + pin.what);
     const Explorer::Result r = Explorer(pinned_config(pin)).run();
-    std::array<std::uint64_t, 13> got{};
+    std::array<std::uint64_t, 12> got{};
     for (std::size_t i = 0; i < got.size(); ++i) {
       got[i] = r.stats.*kPinnedCounters[i];
     }

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "analysis/study.h"
+#include "core/json.h"
 
 namespace cfc {
 namespace {
@@ -52,7 +53,6 @@ StudyResult golden_fixture() {
   r.cache_hits = 17;
   r.work_items = 6;
   r.restore_marks = 33;
-  r.static_refined_pairs = 5;
   r.wc = report(14, 4, 6, 8, 3, 4, 1, true);
   r.wc_entry = report(12, 3, 6, 6, 3, 3, 1, true);
   r.wc_exit = report(2, 1, 0, 2, 0, 1, 1);
@@ -100,12 +100,9 @@ TEST(StudyJson, MatchesGoldenFile) {
   EXPECT_EQ(to_json(golden_fixture()) + "\n", golden);
 }
 
-TEST(StudyJson, RoundTripsByteIdentically) {
-  const StudyResult original = golden_fixture();
-  const std::string json = to_json(original);
-  const StudyResult parsed = study_from_json(json);
-  EXPECT_EQ(to_json(parsed), json);
-
+/// Every field of two results is equal.
+void expect_results_equal(const StudyResult& parsed,
+                          const StudyResult& original) {
   EXPECT_EQ(parsed.subject, original.subject);
   EXPECT_EQ(parsed.kind, original.kind);
   EXPECT_EQ(parsed.n, original.n);
@@ -124,7 +121,6 @@ TEST(StudyJson, RoundTripsByteIdentically) {
   EXPECT_EQ(parsed.cache_hits, original.cache_hits);
   EXPECT_EQ(parsed.work_items, original.work_items);
   EXPECT_EQ(parsed.restore_marks, original.restore_marks);
-  EXPECT_EQ(parsed.static_refined_pairs, original.static_refined_pairs);
   expect_reports_equal(parsed.wc, original.wc, "wc");
   expect_reports_equal(parsed.wc_entry, original.wc_entry, "wc_entry");
   expect_reports_equal(parsed.wc_exit, original.wc_exit, "wc_exit");
@@ -138,6 +134,14 @@ TEST(StudyJson, RoundTripsByteIdentically) {
   EXPECT_DOUBLE_EQ(parsed.execute_ms, original.execute_ms);
   EXPECT_DOUBLE_EQ(parsed.merge_ms, original.merge_ms);
   EXPECT_DOUBLE_EQ(parsed.wall_ms, original.wall_ms);
+}
+
+TEST(StudyJson, RoundTripsByteIdentically) {
+  const StudyResult original = golden_fixture();
+  const std::string json = to_json(original);
+  const StudyResult parsed = study_from_json(json);
+  EXPECT_EQ(to_json(parsed), json);
+  expect_results_equal(parsed, original);
 }
 
 TEST(StudyJson, AbsentMeasurementsSerializeAsNull) {
@@ -257,19 +261,19 @@ TEST(StudyJson, StatefulCountersOptionalForPreStatefulPayloads) {
   EXPECT_EQ(parsed.races_detected, 21u);
 }
 
-TEST(StudyJson, StaticRefineCounterOptionalForPreSaPayloads) {
-  // Payloads written before the static model analysis (src/sa/) carry a
-  // reduction object without static_refined_pairs; they parse with zero
-  // while every other counter survives untouched.
+TEST(StudyJson, IgnoresTheRemovedStaticRefinedPairsKey) {
+  // Payloads written while the search had a static dependence refinement
+  // carry a "static_refined_pairs" counter in the reduction object. The
+  // key is gone from the schema; such payloads still parse, and every
+  // other field survives untouched.
   std::string json = to_json(golden_fixture());
-  const std::string added = ", \"static_refined_pairs\": 5";
-  const std::size_t at = json.find(added);
+  const std::string last = "\"restore_marks\": 33";
+  const std::size_t at = json.find(last);
   ASSERT_NE(at, std::string::npos);
-  json.erase(at, added.size());
+  json.insert(at + last.size(), ", \"static_refined_pairs\": 5");
   const StudyResult parsed = study_from_json(json);
-  EXPECT_EQ(parsed.static_refined_pairs, 0u);
-  EXPECT_EQ(parsed.races_detected, 21u);
-  EXPECT_EQ(parsed.restore_marks, 33u);
+  expect_results_equal(parsed, golden_fixture());
+  EXPECT_EQ(to_json(parsed), to_json(golden_fixture()));
 }
 
 TEST(StudyJson, EscapesSubjectStrings) {
@@ -317,6 +321,39 @@ TEST(StudyJson, RejectsMalformedInput) {
   std::string mistyped = to_json(golden_fixture());
   mistyped.replace(mistyped.find("\"n\": 2"), 6, "\"n\": \"two\"");
   EXPECT_THROW((void)study_from_json(mistyped), std::invalid_argument);
+  // Integers that do not fit, or are not integers at all, are rejected
+  // rather than truncated (2^32 + 1 would read as 1, 2.5 as 2, 1e3 as 1).
+  const auto replaced = [](const std::string& from, const std::string& to) {
+    std::string changed = to_json(golden_fixture());
+    changed.replace(changed.find(from), from.size(), to);
+    return changed;
+  };
+  for (const std::string bad_n : {"4294967297", "2.5", "1e3", "-"}) {
+    SCOPED_TRACE(bad_n);
+    EXPECT_THROW((void)study_from_json(replaced("\"n\": 2", "\"n\": " + bad_n)),
+                 std::invalid_argument);
+  }
+  // A negative or fractional counter does not wrap to a huge one.
+  const std::string states = "\"states_visited\": ";
+  for (const std::string bad : {"-1", "345.5", "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)study_from_json(replaced(states + "345", states + bad)),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW((void)json::to_u64(json::parse("-1")), std::invalid_argument);
+  EXPECT_EQ(json::to_u64(json::parse("18446744073709551615")),
+            18'446'744'073'709'551'615ull);
+  EXPECT_EQ(json::to_int(json::parse("-7")), -7);
+  // Unbounded nesting is rejected before it exhausts the stack.
+  EXPECT_THROW((void)json::parse(std::string(1'000'000, '[')),
+               std::invalid_argument);
+  std::string deep_objects;
+  for (int i = 0; i < 200'000; ++i) {
+    deep_objects += "{\"a\": ";
+  }
+  EXPECT_THROW((void)study_from_json(deep_objects), std::invalid_argument);
+  EXPECT_NO_THROW((void)json::parse(std::string(16, '[') +
+                                    std::string(16, ']')));
   // Deleted reduction policies are unknown names (checked with policy and
   // requested agreeing), and one search runs one policy, so a "requested"
   // that differs from "policy" is malformed too.
