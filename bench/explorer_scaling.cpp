@@ -4,7 +4,7 @@
 // (states/sec, min-of-N wall time per run over >= 50 ms samples, keyed on
 // the reduction policy) with the restore-cost counters
 // (restores, value-replayed-steps-per-node, restore_marks, sims_built,
-// visited-table reserved/live bytes), visited-state pruning, the
+// visited-cache reserved/live bytes), visited-state pruning, the
 // source-dpor reduction rows (with a stateful-vs-baseline state ceiling),
 // stateful vs stateless source-dpor on the re-convergent peterson-tree
 // cell (the >= 10x sleep_blocked gate), Sim-level restore mechanics
@@ -308,17 +308,14 @@ int main(int argc, char** argv) {
     verify.check(res.stats.visited_live_bytes <= res.stats.visited_bytes,
                  "visited live bytes never exceed reserved at depth " +
                      std::to_string(depth));
-    if (opts.reduction != ReductionPolicy::SourceDpor) {
-      // The zero-allocation invariant of the mark restore: Sim
-      // constructions equal the frontier cell count, however many
-      // restores. (The parallel source-dpor path instead builds one Sim
-      // per worker plus the planner's — checked in the scaling section.)
-      const std::size_t cells =
-          Explorer::frontier_cells(2, peterson_config(depth).limits);
-      verify.check(res.stats.sims_built == cells,
-                   "rewind restores build no Sims at depth " +
-                       std::to_string(depth));
-    }
+    // The zero-allocation invariant of the mark restore: the Sims built
+    // are the planner's plus one per pool worker, however many restores.
+    const auto threads = static_cast<std::uint64_t>(
+        runner_or_shared(runner.get()).thread_count());
+    verify.check(res.stats.sims_built ==
+                     1 + std::min(res.stats.work_items, threads),
+                 "rewind restores build no Sims at depth " +
+                     std::to_string(depth));
     // Throughput regression guard vs the committed baseline's row of the
     // same reduction and depth. Wall time is the one cross-host-noisy
     // number here, so the gate carries a 30% guard band: it catches real

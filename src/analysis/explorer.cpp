@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdio>
-#include <ranges>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -72,7 +71,7 @@ void ExploreStats::merge(const ExploreStats& o) {
 namespace {
 
 /// Index-wise max_with reduction of objective report vectors (the single
-/// definition behind leaf accumulation and the cell reductions).
+/// definition behind leaf accumulation and the item reductions).
 void merge_best(std::vector<ComplexityReport>& best,
                 const std::vector<ComplexityReport>& leaf) {
   if (leaf.empty()) {
@@ -88,8 +87,9 @@ void merge_best(std::vector<ComplexityReport>& best,
   }
 }
 
-/// Per-cell / per-work-item result slot; reduced in index order afterwards.
-struct CellResult {
+/// Per-work-item result slot (the planner has one too); reduced in item
+/// index order afterwards.
+struct ItemResult {
   ExploreStats stats;
   std::vector<ComplexityReport> best;
 
@@ -98,67 +98,58 @@ struct CellResult {
   }
 };
 
-/// One unit of the parallel source-DPOR execution: a realizable,
-/// violation-free schedule prefix of planner picks (stored in the plan's
-/// slab arena), the sleep mask at its horizon node, and the last pick.
-/// Self-contained — any worker can claim it, reposition its private Sim,
-/// and run the subtree; race detection below the horizon is per-path
-/// (vector clocks live in the worker's own SourceDpor trace), so items
-/// share no mutable state.
+/// One unit of the parallel DFS: a realizable, violation-free schedule
+/// prefix of planner picks (stored in the plan's slab arena) and the sleep
+/// mask at its horizon node. Self-contained — any worker can claim it,
+/// reposition its private Sim, and run the subtree; race detection below
+/// the horizon is per-path (vector clocks live in the worker's own
+/// SourceDpor trace), so items share no mutable state.
 struct WorkItem {
   const Pid* prefix = nullptr;
   std::uint32_t len = 0;
   std::uint32_t sleep = 0;
-  Pid last = -1;
 };
 
-/// One DFS engine: owns the live simulation, the live accumulator, the
-/// per-cell visited table, the recycled scratch pools (branch stack,
-/// per-depth accumulator snapshots and rewind marks), and — under
-/// ReductionPolicy::SourceDpor — the sleep-set-aware cache, the per-path
-/// race detector and the per-depth backtrack masks. Descends by stepping
-/// the live sim; backtracks via per-depth RewindMarks
+/// One DFS engine: owns the live simulation (built once, with the engine),
+/// the live accumulator, the visited cache, the recycled scratch pools
+/// (per-depth branch masks, accumulator snapshots and rewind marks), and —
+/// under ReductionPolicy::SourceDpor — the per-path race detector.
+/// Descends by stepping the live sim; backtracks via per-depth RewindMarks
 /// (Sim::rewind_to_mark).
 ///
-/// Three entry points, one recursive walk: run() walks one grid cell
-/// (policy Off), plan() is the parallel source-DPOR planner, run_item()
-/// executes one planner work item. Each selects a Role; walk<Role>() owns
-/// the per-node logic all three share (node classification, the visited
-/// check, the continue-last-pid-first branch order, the capture/restore
-/// around siblings, violation handling and the child sleep transfer) and
-/// the role selects only the branch set, the visited cache, and whether
-/// the race detector runs. A worker reuses one CellExplorer — and its
-/// Sim — across every item it claims.
-class CellExplorer {
+/// Two entry points, one recursive walk: plan() is the sequential planner,
+/// run_item() executes one planner work item. Each selects a Role;
+/// walk<Role, Reduce>() owns the per-node logic both share (node
+/// classification, the visited check, the continue-last-pid-first branch
+/// order, the capture/restore around siblings, violation handling). The
+/// role selects the branch set below the horizon; Reduce (source-DPOR)
+/// adds the sleep transfer, the race detector and the cut-point
+/// insertions, and is a compile-time parameter so the unreduced search
+/// pays nothing for them. A worker reuses one DfsEngine — and its Sim —
+/// across every item it claims.
+class DfsEngine {
  public:
-  explicit CellExplorer(const Explorer::Config& cfg)
-      : cfg_(cfg), acc_(cfg.nprocs) {
+  explicit DfsEngine(const Explorer::Config& cfg)
+      : cfg_(cfg),
+        acc_(cfg.nprocs),
+        backtrack_(static_cast<std::size_t>(cfg.limits.max_depth) + 1) {
     if (cfg.limits.reduction == ReductionPolicy::SourceDpor) {
       dpor_.emplace(cfg.nprocs);
-      backtrack_.assign(
-          static_cast<std::size_t>(cfg.limits.max_depth) + 1,
-          SourceDpor::kForeignNode);
     }
+    build_sim();
   }
 
-  /// Grid-cell DFS (policy Off; the source-DPOR policy goes through
-  /// plan()/run_item() instead).
-  void run(const std::vector<Pid>& prefix, CellResult& out) {
-    out_ = &out;
-    begin_metrics();
-    run_cell(prefix);
-    out.stats.visited_bytes += visited_.bytes();
-    out.stats.visited_live_bytes += visited_.live_bytes();
-    flush_metrics();
-  }
+  /// Sim constructions (each runs the setup) this engine performed. Every
+  /// later repositioning rewinds in place, so this stays 1.
+  [[nodiscard]] std::uint64_t sims_built() const { return sims_built_; }
 
-  /// Parallel source-DPOR, phase 1: walks the top `horizon` levels of the
-  /// tree with FULL branching over enabled-and-awake processes plus the
-  /// measurement-aware sleep transfer, emitting one WorkItem per horizon
-  /// node reached (prefix picks copied into `arena`). Runs on the calling
-  /// thread only, so every counter it touches — including the planner
-  /// levels' states/leaves/violations/sleep_blocked — is thread-count
-  /// invariant by construction.
+  /// Phase 1: walks the top `horizon` levels of the tree with FULL
+  /// branching (every admitted process; under source-DPOR every enabled,
+  /// awake one, with the measurement-aware sleep transfer), emitting one
+  /// WorkItem per horizon node reached (prefix picks copied into `arena`).
+  /// Runs on the calling thread only, so every counter it touches —
+  /// including the planner levels' states/leaves/violations/sleep_blocked
+  /// — is thread-count invariant by construction.
   ///
   /// Soundness of stopping worker race insertions at the horizon
   /// (SourceDpor::kForeignNode masks over prefix depths): full branching
@@ -168,15 +159,14 @@ class CellExplorer {
   /// planner branch, or asleep and therefore covered by a same-length
   /// explored reordering (the classic sleep-set argument).
   void plan(int horizon, SlabArena& arena, std::vector<WorkItem>& items,
-            CellResult& out) {
+            ItemResult& out) {
     out_ = &out;
     begin_metrics();
-    reset_sim();
     horizon_ = horizon;
     arena_ = &arena;
     items_ = &items;
-    walk<Role::Planner>(0, /*last=*/-1, /*preempt=*/0, /*sleep=*/0);
-    // The planner's sleep cache lives for the whole walk (it is what makes
+    walk_from<Role::Planner>(0, /*last=*/-1, /*preempt=*/0, /*sleep=*/0);
+    // The planner's cache lives for the whole walk (it is what makes
     // horizon-level re-convergence prune whole work items), so its
     // footprint is deterministic — account it here. Worker caches are
     // cleared per item and deliberately left out of the byte counters:
@@ -188,33 +178,32 @@ class CellExplorer {
     flush_metrics();
   }
 
-  /// Parallel source-DPOR, phase 2: executes one work item. The first item
-  /// builds the worker's private Sim; later items rewind it to the run
-  /// start in place and re-step the prefix live (the planner proved it
-  /// realizable and violation-free). Prefix units join the race detector's
-  /// trace with foreign-node masks, exactly like the pre-parallel grid
-  /// path. Repositioning is part of claiming the item, not a sibling
-  /// backtrack, so it counts into no restore counter.
-  void run_item(const WorkItem& item, CellResult& out) {
+  /// Phase 2: executes one work item. The worker rewinds its Sim to the
+  /// run start in place and re-steps the prefix live (the planner proved
+  /// it realizable and violation-free), summing the preemptions it spends.
+  /// Under source-DPOR, prefix units join the race detector's trace with
+  /// foreign-node masks. Repositioning is part of claiming the item, not a
+  /// sibling backtrack, so it counts into no restore counter.
+  void run_item(const WorkItem& item, ItemResult& out) {
     out_ = &out;
     begin_metrics();
-    if (!sim_) {
-      reset_sim();
-    } else {
-      sim_->rewind_to(0);
-      acc_ = MeasureAccumulator(cfg_.nprocs);  // sink address is stable
-    }
-    dpor_->clear();
-    // A fresh sleep cache per item (capacity kept): cache hits must depend
-    // only on the item's own subtree, never on which items this worker ran
+    sim_->rewind_to(0);
+    acc_ = MeasureAccumulator(cfg_.nprocs);  // sink address is stable
+    // A fresh cache per item (capacity kept): cache hits must depend only
+    // on the item's own subtree, never on which items this worker ran
     // before — that per-item scoping is what keeps every counter derived
     // from the pruning identical at every thread count.
     scache_.clear();
-    std::fill(backtrack_.begin(), backtrack_.end(),
-              SourceDpor::kForeignNode);
+    if (dpor_) {
+      dpor_->clear();
+      std::fill(backtrack_.begin(), backtrack_.end(),
+                SourceDpor::kForeignNode);
+    }
     nodes_ = 0;
     stop_ = false;
     int depth = 0;
+    int preempt = 0;
+    Pid last = -1;
     for (std::uint32_t i = 0; i < item.len; ++i) {
       const Pid p = item.prefix[i];
       if (!sim_->runnable(p)) {
@@ -222,83 +211,47 @@ class CellExplorer {
             "Explorer: work-item prefix diverged from the planner's run");
       }
       sim_->step(p);
-      dpor_->push_step(depth, sim_->last_step_summary(), backtrack_);
+      if (dpor_) {
+        dpor_->push_step(depth, sim_->last_step_summary(), backtrack_);
+      }
+      preempt += switch_cost(last, p);
+      last = p;
       ++depth;
     }
-    walk<Role::Item>(depth, item.last, /*preempt=*/0, item.sleep);
-    // Per-item flush of the race detector's counters (clear() resets
-    // them): the deltas land in the item's own slot and merge in item
-    // index order, keeping the totals thread-count invariant.
-    out.stats.races_detected += dpor_->stats().races_detected;
-    out.stats.backtrack_points += dpor_->stats().backtrack_points;
+    walk_from<Role::Item>(depth, last, preempt, item.sleep);
+    if (dpor_) {
+      // Per-item flush of the race detector's counters (clear() resets
+      // them): the deltas land in the item's own slot and merge in item
+      // index order, keeping the totals thread-count invariant.
+      out.stats.races_detected += dpor_->stats().races_detected;
+      out.stats.backtrack_points += dpor_->stats().backtrack_points;
+    }
     flush_metrics();
   }
 
  private:
   /// The search a walk serves, selected by the entry point.
   enum class Role : std::uint8_t {
-    /// run(): the unreduced DFS (policy Off; Exhaustive and Bounded).
-    /// Branches on every runnable process within the preemption budget,
-    /// keeps no per-pid bitmask (so any process count works) and prunes
-    /// on the VisitedTable.
-    Grid,
-    /// plan(): full branching over enabled-and-awake processes with the
-    /// sleep transfer, down to the horizon, where it emits work items.
+    /// plan(): full branching down to the horizon, where it emits work
+    /// items.
     Planner,
-    /// run_item(): source-DPOR below the horizon. Starts from one seed
-    /// branch; while the node's loop is suspended in recursion, the race
-    /// detector (por/source_dpor.h) inserts, per race against the current
-    /// path, a source-set process at the ancestor node that ran the
-    /// raced-with unit.
+    /// run_item(): the subtree below the horizon. Unreduced, it branches
+    /// like the planner. Under source-DPOR it starts from one seed branch;
+    /// while the node's loop is suspended in recursion, the race detector
+    /// (por/source_dpor.h) inserts, per race against the current path, a
+    /// source-set process at the ancestor node that ran the raced-with
+    /// unit.
     Item,
   };
 
-  void run_cell(const std::vector<Pid>& prefix) {
-    reset_sim();
-    int preempt = 0;
-    Pid last = -1;
-    for (std::size_t i = 0; i < prefix.size(); ++i) {
-      const Pid p = prefix[i];
-      if (!admits(p, preempt, last)) {
-        // Unrealizable here or over the preemption budget: the cells whose
-        // digit here is admitted cover the subtree. When no pick is
-        // admitted at all, the node is a leaf (terminal, or every runnable
-        // pick over budget), recorded as walk() records it below the
-        // frontier — by exactly one cell, the one whose remaining digits
-        // are all zero.
-        if (all_zero_from(prefix, i) &&
-            std::ranges::none_of(
-                std::views::iota(Pid{0}, static_cast<Pid>(cfg_.nprocs)),
-                [&](Pid q) { return admits(q, preempt, last); })) {
-          ++nodes_;
-          ++out_->stats.states_visited;
-          if (sim_->any_runnable()) {
-            leaf_truncated();
-          } else {
-            leaf_completed();
-          }
-        }
-        return;
-      }
-      preempt += switch_cost(last, p);
-      try {
-        sim_->step(p);
-      } catch (const MutualExclusionViolation&) {
-        if (all_zero_from(prefix, i + 1)) {
-          ++out_->stats.violations;
-        }
-        return;
-      }
-      last = p;
+  /// Dispatches the walk on the reduction policy, once per engine run.
+  template <Role R>
+  void walk_from(int depth, Pid last, int preempt, std::uint32_t sleep) {
+    if (dpor_) {
+      walk<R, true>(depth, last, preempt, sleep);
+    } else {
+      walk<R, false>(depth, last, preempt, sleep);
     }
-    walk<Role::Grid>(static_cast<int>(prefix.size()), last, preempt,
-                     /*sleep=*/0);
-  }
-
-  [[nodiscard]] static bool all_zero_from(const std::vector<Pid>& prefix,
-                                          std::size_t from) {
-    return std::all_of(prefix.begin() + static_cast<std::ptrdiff_t>(from),
-                       prefix.end(), [](Pid p) { return p == 0; });
   }
 
   [[nodiscard]] static int switch_cost(Pid last, Pid p) {
@@ -318,11 +271,12 @@ class CellExplorer {
     return 1u << static_cast<unsigned>(p);
   }
 
-  /// The runnable processes as a mask (source-DPOR only: n <= 32).
-  [[nodiscard]] std::uint32_t enabled_mask() const {
+  /// The admitted processes as a mask (n <= 32). Without a preemption
+  /// bound — every source-DPOR search — these are the runnable ones.
+  [[nodiscard]] std::uint32_t enabled_mask(int preempt, Pid last) const {
     std::uint32_t enabled = 0;
     for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      if (sim_->runnable(p)) {
+      if (admits(p, preempt, last)) {
         enabled |= bit(p);
       }
     }
@@ -339,13 +293,12 @@ class CellExplorer {
                : static_cast<Pid>(std::countr_zero(mask));
   }
 
-  void reset_sim() {
+  void build_sim() {
     sim_ = std::make_unique<Sim>();
     owner_ = cfg_.setup(*sim_);
     sim_->set_trace_recording(false);
     sim_->mark_rewind_base();
-    ++out_->stats.sims_built;
-    acc_ = MeasureAccumulator(cfg_.nprocs);
+    ++sims_built_;
     sim_->add_sink(acc_);
   }
 
@@ -461,7 +414,10 @@ class CellExplorer {
   /// without branching).
   void cut_point_insertions(int depth, std::uint32_t sleep) {
     capture_pendings(depth);
-    dpor_->note_cut(enabled_mask() & ~sleep, pend_at(depth), backtrack_);
+    // Source-DPOR is Exhaustive-only: no preemption bound, so the
+    // admitted processes are the runnable ones.
+    dpor_->note_cut(enabled_mask(0, -1) & ~sleep, pend_at(depth),
+                    backtrack_);
   }
 
   /// Node-entry outcome of classify_node: the leaf accounting shared by
@@ -476,8 +432,8 @@ class CellExplorer {
   /// Leaf and budget checks of every node entry (the single definition of
   /// the nodes_/states_visited/leaf accounting the reduced-vs-unreduced
   /// stat comparisons rely on). The nodes_ budget
-  /// (ExploreLimits::max_states) is per engine run: per grid cell, per
-  /// planner walk, per work item.
+  /// (ExploreLimits::max_states) is per engine run: per planner walk, per
+  /// work item.
   [[nodiscard]] NodeEntry classify_node(int depth) {
     ++nodes_;
     ++out_->stats.states_visited;
@@ -502,65 +458,67 @@ class CellExplorer {
   }
 
   /// The visited check: true when a stored visit covers this node, and the
-  /// node's subtree is skipped. The grid role keys the VisitedTable on
-  /// (state, depth, preemptions spent). The source-DPOR roles use the
-  /// sleep-set-aware cache (stateful DPOR): equal fingerprint implies
-  /// equal per-process histories (so equal remaining depth and equal
-  /// accumulator), and a stored sleep set that is a subset of the current
-  /// one means the stored subtree covered every behavior this visit
-  /// could, so its leaves already contributed the same objective values.
+  /// node's subtree is skipped. One SleepCache serves every search: equal
+  /// fingerprint implies equal per-process histories (so equal remaining
+  /// depth and equal accumulator), and a stored value that is a subset of
+  /// the current one means the stored subtree covered every behavior this
+  /// visit could, so its leaves already contributed the same objective
+  /// values. The value is the sleep mask (source-DPOR: a stored visit
+  /// that slept on fewer branches explored more) or, under a preemption
+  /// bound, the low `preempt` bits (a stored visit that spent fewer
+  /// preemptions had more budget left); the two never meet, since
+  /// source-DPOR is Exhaustive-only and the unreduced sleep mask is 0.
+  ///
   /// The one thing a skipped subtree still owes the *current* path is its
-  /// race-driven backtrack insertions (they are path-dependent): the item
-  /// role re-places them conservatively with the cut-point insertions,
-  /// exactly as at a DepthCut. The planner owes none: every planner node
-  /// full-branches over a maximal persistent set, so any prefix
-  /// reordering a skipped subtree's race could demand is already a planner
-  /// branch, and the planner's own backtrack masks are never consulted.
-  template <Role R>
+  /// race-driven backtrack insertions (they are path-dependent): the
+  /// source-DPOR item role re-places them conservatively with the
+  /// cut-point insertions, exactly as at a DepthCut. The planner owes
+  /// none: every planner node full-branches over a maximal persistent
+  /// set, so any prefix reordering a skipped subtree's race could demand
+  /// is already a planner branch, and the planner's own backtrack masks
+  /// are never consulted.
+  template <Role R, bool Reduce>
   [[nodiscard]] bool seen(int depth, Pid last, int preempt,
                           std::uint32_t sleep) {
     if (!cfg_.limits.prune_visited) {
       return false;
     }
-    bool hit = false;
-    if constexpr (R == Role::Grid) {
-      const int eff_preempt = cfg_.limits.max_preemptions < 0 ? 0 : preempt;
-      hit = visited_.check_and_insert(state_key(last), depth, eff_preempt);
-    } else {
-      hit = scache_.check_and_insert(state_key(last), sleep);
-    }
-    if (!hit) {
+    const std::uint32_t spent =
+        cfg_.limits.max_preemptions < 0 ? 0u : (1u << preempt) - 1u;
+    if (!scache_.check_and_insert(state_key(last), sleep | spent)) {
       return false;
     }
     ++out_->stats.pruned_visited;
-    if constexpr (R == Role::Item) {
+    if constexpr (R == Role::Item && Reduce) {
       cut_point_insertions(depth, sleep);
     }
     return true;
   }
 
-  /// The DFS behind all three entry points. A node is its depth, the last
-  /// pick, the preemptions spent on the path (grid role; only a Bounded
-  /// search spends any) and its sleep mask (source-DPOR roles: explored or
-  /// covered branches whose reorderings need no exploring here).
+  /// The DFS behind both entry points. A node is its depth, the last pick,
+  /// the preemptions spent on the path (only a Bounded search spends any)
+  /// and its sleep mask (source-DPOR: explored or covered branches whose
+  /// reorderings need no exploring here; always 0 unreduced).
   ///
   /// Per node: the planner emits a work item at the horizon; otherwise
-  /// classify_node, the visited check, then the role's branch set (see
-  /// Role). Branches run continue-last-pid-first; each explored (or
-  /// excluded-violating) branch goes to sleep for its later siblings, and
-  /// a child keeps asleep every sleeper whose captured next step is
-  /// independent of the unit just taken (the measurement-aware sleep
-  /// transfer).
-  template <Role R>
+  /// classify_node, the visited check, then the branch set (see Role) out
+  /// of the admitted processes — a node with runnable processes but none
+  /// admitted is a truncated leaf of the bounded space. Branches run
+  /// continue-last-pid-first; each explored (or excluded-violating) branch
+  /// joins the node's local sleep mask, which doubles as its explored mask.
+  /// Under source-DPOR a child keeps asleep every sleeper whose captured
+  /// next step is independent of the unit just taken (the
+  /// measurement-aware sleep transfer); unreduced, a child starts awake.
+  template <Role R, bool Reduce>
   void walk(int depth, Pid last, int preempt, std::uint32_t sleep) {
     if constexpr (R == Role::Planner) {
       if (depth == horizon_) {
         // Stateful pruning across work items: an equal horizon state
-        // already emitted under a subset sleep mask covers this one. The
-        // horizon node itself belongs to the work item (the worker's walk
-        // classifies it), keeping node accounting disjoint.
-        if (!seen<R>(depth, last, preempt, sleep)) {
-          emit_item(last, sleep);
+        // already emitted under a covering cache value covers this one.
+        // The horizon node itself belongs to the work item (the worker's
+        // walk classifies it), keeping node accounting disjoint.
+        if (!seen<R, Reduce>(depth, last, preempt, sleep)) {
+          emit_item(sleep);
         }
         return;
       }
@@ -579,81 +537,59 @@ class CellExplorer {
         // buckets along the path instead. Sleeping processes are covered
         // by reorderings of equal length, so they are skipped. (The
         // planner never gets here: its horizon is at most max_depth.)
-        if constexpr (R == Role::Item) {
+        if constexpr (R == Role::Item && Reduce) {
           cut_point_insertions(depth, sleep);
         }
         return;
       case NodeEntry::Interior:
         break;
     }
-    if (seen<R>(depth, last, preempt, sleep)) {
+    if (seen<R, Reduce>(depth, last, preempt, sleep)) {
       return;
     }
 
-    // The branch set: a list on the shared scratch stack for the grid
-    // role, the node's backtrack mask for the source-DPOR roles.
     const auto d = static_cast<std::size_t>(depth);
-    const std::size_t base = branch_buf_.size();
-    std::uint32_t enabled = 0;
-    bool branching = true;  // more than one branch may run: capture
-    if constexpr (R == Role::Grid) {
-      if (last != -1 && admits(last, preempt, last)) {
-        branch_buf_.push_back(last);
-      }
-      for (Pid p = 0; p < cfg_.nprocs; ++p) {
-        if (p != last && admits(p, preempt, last)) {
-          branch_buf_.push_back(p);
-        }
-      }
-      if (branch_buf_.size() == base) {
-        // Runnable processes exist but every switch is over the preemption
-        // budget: the bounded space ends here.
-        leaf_truncated();
-        return;
-      }
-      branching = branch_buf_.size() - base > 1;
-    } else {
-      enabled = enabled_mask();
+    const std::uint32_t enabled = enabled_mask(preempt, last);
+    if (enabled == 0) {
+      // Runnable processes exist but every switch is over the preemption
+      // budget: the bounded space ends here.
+      leaf_truncated();
+      return;
+    }
+    if constexpr (Reduce) {
       out_->stats.sleep_blocked +=
           static_cast<std::uint64_t>(std::popcount(enabled & sleep));
-      const std::uint32_t avail = enabled & ~sleep;
-      if (avail == 0) {
-        // Every enabled branch is asleep: each is a reordering of an
-        // explored schedule — not a leaf of the reduced tree.
-        return;
-      }
-      if constexpr (R == Role::Planner) {
-        backtrack_[d] = avail;
-        branching = std::popcount(avail) > 1;
-      } else {
-        // The branch count is not known up front (insertions arrive
-        // later), so the node always captures.
-        backtrack_[d] = bit(continue_last(avail, last));
-      }
+    }
+    const std::uint32_t avail = enabled & ~sleep;
+    if (avail == 0) {
+      // Every enabled branch is asleep: each is a reordering of an
+      // explored schedule — not a leaf of the reduced tree.
+      return;
+    }
+    bool branching = true;  // more than one branch may run: capture
+    if constexpr (R == Role::Item && Reduce) {
+      // The branch count is not known up front (insertions arrive later),
+      // so the node always captures.
+      backtrack_[d] = bit(continue_last(avail, last));
+    } else {
+      backtrack_[d] = avail;
+      branching = std::popcount(avail) > 1;
     }
     // Node checkpoint for sibling restores (skipped for a single branch:
     // the parent restores for us).
     if (branching) {
       capture_node(depth);
     }
-    if constexpr (R != Role::Grid) {
+    if constexpr (Reduce) {
       capture_pendings(depth);
     }
 
     for (std::size_t b = 0; !stop_; ++b) {
-      Pid p = -1;
-      if constexpr (R == Role::Grid) {
-        if (base + b == branch_buf_.size()) {
-          break;
-        }
-        p = branch_buf_[base + b];
-      } else {
-        const std::uint32_t todo = backtrack_[d] & enabled & ~sleep;
-        if (todo == 0) {
-          break;
-        }
-        p = continue_last(todo, last);
+      const std::uint32_t todo = backtrack_[d] & enabled & ~sleep;
+      if (todo == 0) {
+        break;
       }
+      const Pid p = continue_last(todo, last);
       if (b > 0) {
         restore(depth);
       }
@@ -665,7 +601,7 @@ class CellExplorer {
         violated = true;  // sim is poisoned; the next iteration restores it
       }
       std::size_t trace_len = 0;
-      if constexpr (R == Role::Item) {
+      if constexpr (R == Role::Item && Reduce) {
         // Race-detect even the violating unit (its partial summary covers
         // everything that took effect): the reorderings its races demand
         // may be perfectly safe schedules.
@@ -674,7 +610,7 @@ class CellExplorer {
       }
       if (!violated) {
         std::uint32_t child_sleep = 0;
-        if constexpr (R != Role::Grid) {
+        if constexpr (Reduce) {
           child_sleep = transfer_sleep(SleepSet(sleep & ~bit(p)),
                                        sim_->last_step_summary(),
                                        pend_at(depth))
@@ -683,28 +619,26 @@ class CellExplorer {
         if constexpr (R == Role::Planner) {
           path_.push_back(p);
         }
-        walk<R>(depth + 1, p, preempt + switch_cost(last, p), child_sleep);
+        walk<R, Reduce>(depth + 1, p, preempt + switch_cost(last, p),
+                        child_sleep);
         if constexpr (R == Role::Planner) {
           path_.pop_back();
         }
       }
-      if constexpr (R == Role::Item) {
+      if constexpr (R == Role::Item && Reduce) {
         dpor_->pop_to(trace_len);
       }
-      if constexpr (R != Role::Grid) {
-        sleep |= bit(p);
-      }
+      sleep |= bit(p);
     }
-    branch_buf_.resize(base);
   }
 
   /// Planner horizon: one work item for the subtree below the current
   /// path (prefix picks copied into the plan's arena).
-  void emit_item(Pid last, std::uint32_t sleep) {
+  void emit_item(std::uint32_t sleep) {
     Pid* stored = arena_->alloc<Pid>(path_.size());
     std::copy(path_.begin(), path_.end(), stored);
-    items_->push_back(WorkItem{
-        stored, static_cast<std::uint32_t>(path_.size()), sleep, last});
+    items_->push_back(
+        WorkItem{stored, static_cast<std::uint32_t>(path_.size()), sleep});
     ++out_->stats.work_items;
   }
 
@@ -736,37 +670,37 @@ class CellExplorer {
     bump(obs::Metric::races_detected, &ExploreStats::races_detected);
     bump(obs::Metric::backtrack_points, &ExploreStats::backtrack_points);
     bump(obs::Metric::restore_marks, &ExploreStats::restore_marks);
-    m.set_max(obs::Metric::visited_live_bytes,
-              dpor_ ? scache_.live_bytes() : visited_.live_bytes());
+    m.set_max(obs::Metric::visited_live_bytes, scache_.live_bytes());
   }
 
   const Explorer::Config& cfg_;
-  CellResult* out_ = nullptr;
+  ItemResult* out_ = nullptr;
   std::unique_ptr<Sim> sim_;
   std::shared_ptr<void> owner_;
   MeasureAccumulator acc_;
-  VisitedTable visited_;
-  /// Stateful source-DPOR only: the sleep-set-aware cache. Planner: one
-  /// cache across the whole walk. Worker: cleared per item.
+  /// The visited cache (see seen()). Planner: one cache across the whole
+  /// walk. Worker: cleared per item.
   SleepCache scache_;
-  std::vector<Pid> branch_buf_;  ///< grid role: shared branch scratch stack
-  std::vector<Pid> path_;        ///< planner: picks along the current path
+  std::vector<Pid> path_;  ///< planner: picks along the current path
   int horizon_ = 0;                       ///< planner: work-item depth
   SlabArena* arena_ = nullptr;            ///< planner: prefix storage
   std::vector<WorkItem>* items_ = nullptr;  ///< planner: emitted items
-  /// Flat per-depth pending captures (capture_pendings / pend_at): one
-  /// contiguous slab instead of a kMaxPorProcs array per recursion frame.
+  /// SourceDpor only: flat per-depth pending captures (capture_pendings /
+  /// pend_at), one contiguous slab instead of a kMaxPorProcs array per
+  /// recursion frame.
   std::vector<NextStep> pend_pool_;
   std::vector<MeasureAccumulator> acc_pool_;  ///< per-depth node snapshots
   std::vector<Sim::RewindMark> mark_pool_;    ///< per-depth rewind marks
   std::uint64_t nodes_ = 0;
+  std::uint64_t sims_built_ = 0;   ///< see sims_built()
   std::uint64_t rewind_tick_ = 0;  ///< restore() sampling counter
   ExploreStats flushed_;  ///< metric-flush cursor (see flush_metrics)
   bool stop_ = false;
-  /// SourceDpor only: the race detector over the current path and the
-  /// per-depth node backtrack masks it inserts into (prefix depths hold
-  /// the foreign-node sentinel).
+  /// SourceDpor only: the race detector over the current path.
   std::optional<SourceDpor> dpor_;
+  /// Per-depth node branch masks; under source-DPOR the race detector
+  /// inserts into them (item prefix depths hold the foreign-node
+  /// sentinel).
   std::vector<std::uint32_t> backtrack_;
 };
 
@@ -795,115 +729,79 @@ Explorer::Explorer(Config cfg) : cfg_(std::move(cfg)) {
     throw std::invalid_argument(
         "Explorer: Bounded strategy requires limits.max_preemptions >= 0");
   }
-  if (cfg_.limits.reduction == ReductionPolicy::SourceDpor) {
-    if (cfg_.strategy != SearchStrategy::Exhaustive) {
-      // Under a preemption budget a sleeping branch's covering reordering
-      // may itself be out of budget, so the reduction would cut feasible
-      // space; restrict it to the strategy it is defined for.
-      throw std::invalid_argument(
-          "Explorer: partial-order reduction requires the Exhaustive "
-          "strategy");
-    }
+  if (cfg_.limits.reduction == ReductionPolicy::SourceDpor &&
+      cfg_.strategy != SearchStrategy::Exhaustive) {
+    // Under a preemption budget a sleeping branch's covering reordering
+    // may itself be out of budget, so the reduction would cut feasible
+    // space; restrict it to the strategy it is defined for.
+    throw std::invalid_argument(
+        "Explorer: partial-order reduction requires the Exhaustive "
+        "strategy");
+  }
+  if (cfg_.strategy != SearchStrategy::Random) {
+    // The DFS keeps per-node process masks (branch sets, sleep sets) and
+    // stores the preemptions a visit spent as a low-bit mask in its cache.
     if (cfg_.nprocs > kMaxPorProcs) {
       throw std::invalid_argument(
-          "Explorer: partial-order reduction supports at most 32 processes");
+          "Explorer: Exhaustive and Bounded searches support at most 32 "
+          "processes");
+    }
+    if (cfg_.limits.max_preemptions > 31) {
+      throw std::invalid_argument(
+          "Explorer: Bounded strategy supports at most 31 preemptions");
     }
   }
 }
 
 namespace {
 
-/// Hard cap on the cell grid / planner fan-out; n^f is clamped under it.
-constexpr std::size_t kFrontierCellCap = 4096;
+/// Hard cap on the planner fan-out; n^f is clamped under it.
+constexpr std::size_t kPrefixCap = 4096;
 
-/// Frontier split depth f: prefixes of f picks form the cell grid of
-/// n^f cells (grid policies) or the planner horizon (source-DPOR), capped
-/// so wide process counts cannot explode — or overflow — the cell count.
-/// Depends only on (n, frontier_depth): thread-count invariant. A clamp
-/// below the requested depth logs a one-shot warning AND reports through
-/// `clamped` so ExploreStats::frontier_clamped (and the study JSON) make
-/// the coarser fan-out machine-readable.
+/// Planner horizon f: the planner fans the top f levels out into at most
+/// n^f work items, capped so wide process counts cannot explode — or
+/// overflow — the item count. Depends only on (n, frontier_depth):
+/// thread-count invariant. A clamp below the requested depth logs a
+/// one-shot warning AND reports through `clamped` so
+/// ExploreStats::frontier_clamped (and the study JSON) make the coarser
+/// fan-out machine-readable.
 int frontier_split_depth(int nprocs, const ExploreLimits& limits,
-                         bool* clamped = nullptr) {
+                         bool& clamped) {
   const int want_f = std::clamp(limits.frontier_depth, 0, limits.max_depth);
   // Division instead of multiplication: overflow-proof for any nprocs.
-  const std::size_t max_cells =
-      kFrontierCellCap / static_cast<std::size_t>(nprocs);
-  std::size_t cells = 1;
+  const std::size_t max_prefixes =
+      kPrefixCap / static_cast<std::size_t>(nprocs);
+  std::size_t prefixes = 1;
   int f = 0;
-  while (f < want_f && cells <= max_cells) {
-    cells *= static_cast<std::size_t>(nprocs);
+  while (f < want_f && prefixes <= max_prefixes) {
+    prefixes *= static_cast<std::size_t>(nprocs);
     ++f;
   }
   if (f < want_f) {
-    if (clamped != nullptr) {
-      *clamped = true;
-    }
+    clamped = true;
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true, std::memory_order_relaxed)) {
       std::fprintf(stderr,
                    "cfc: Explorer frontier depth clamped from %d to %d "
-                   "(%d^%d cells would exceed the %zu-cell cap)\n",
-                   want_f, f, nprocs, want_f, kFrontierCellCap);
+                   "(%d^%d prefixes would exceed the %zu-prefix cap)\n",
+                   want_f, f, nprocs, want_f, kPrefixCap);
     }
   }
   return f;
 }
 
-std::size_t cells_for_depth(int nprocs, int f) {
-  std::size_t cells = 1;
-  for (int i = 0; i < f; ++i) {
-    cells *= static_cast<std::size_t>(nprocs);
-  }
-  return cells;
-}
-
 }  // namespace
-
-std::size_t Explorer::frontier_cells(int nprocs,
-                                     const ExploreLimits& limits) {
-  return cells_for_depth(nprocs, frontier_split_depth(nprocs, limits));
-}
 
 Explorer::Result Explorer::run(ExperimentRunner* runner) const {
   if (cfg_.strategy == SearchStrategy::Random) {
     return run_random_strategy(runner);
   }
-  if (cfg_.limits.reduction == ReductionPolicy::SourceDpor) {
-    return run_source_dpor(runner);
-  }
-
-  const int n = cfg_.nprocs;
-  bool clamped = false;
-  const int f = frontier_split_depth(n, cfg_.limits, &clamped);
-  const std::size_t cells = cells_for_depth(n, f);
-
-  std::vector<CellResult> slots(cells);
-  runner_or_shared(runner).parallel_for(cells, [&](std::size_t c) {
-    std::vector<Pid> prefix(static_cast<std::size_t>(f));
-    std::size_t x = c;
-    for (int i = f - 1; i >= 0; --i) {
-      prefix[static_cast<std::size_t>(i)] = static_cast<Pid>(
-          x % static_cast<std::size_t>(n));
-      x /= static_cast<std::size_t>(n);
-    }
-    const obs::TraceSpan cell_span("explorer.cell");
-    CellExplorer cell(cfg_);
-    cell.run(prefix, slots[c]);
-  });
-
-  Result res;
-  res.stats.frontier_clamped = clamped;
-  for (const CellResult& slot : slots) {  // index order: deterministic
-    res.stats.merge(slot.stats);
-    merge_best(res.best, slot.best);
-  }
-  return res;
+  return run_dfs(runner);
 }
 
-Explorer::Result Explorer::run_source_dpor(ExperimentRunner* runner) const {
+Explorer::Result Explorer::run_dfs(ExperimentRunner* runner) const {
   bool clamped = false;
-  const int f = frontier_split_depth(cfg_.nprocs, cfg_.limits, &clamped);
+  const int f = frontier_split_depth(cfg_.nprocs, cfg_.limits, clamped);
 
   // Phase 1 — sequential planner: full-branching walk (mod sleep) of the
   // top f levels, emitting one self-contained work item per horizon node.
@@ -911,11 +809,12 @@ Explorer::Result Explorer::run_source_dpor(ExperimentRunner* runner) const {
   // the calling thread runs it.
   SlabArena arena;
   std::vector<WorkItem> items;
-  CellResult planner_slot;
+  ItemResult planner_slot;
   {
     const obs::TraceSpan plan_span("explorer.plan");
-    CellExplorer planner(cfg_);
+    DfsEngine planner(cfg_);
     planner.plan(f, arena, items, planner_slot);
+    planner_slot.stats.sims_built += planner.sims_built();
   }
   {
     obs::MetricRegistry& m = obs::MetricRegistry::global();
@@ -928,7 +827,7 @@ Explorer::Result Explorer::run_source_dpor(ExperimentRunner* runner) const {
   // Phase 2 — work-stealing execution: items are dealt in contiguous
   // blocks into per-worker queues; a worker drains its own queue first
   // (fetch_add claims), then sweeps the other queues for leftovers. Each
-  // worker owns one private Sim + CellExplorer reused across its items and
+  // worker owns one private Sim + DfsEngine reused across its items and
   // accumulates each item into a worker-LOCAL result, published to the
   // item's shared slot once at item end: the per-node stat increments were
   // previously direct writes through the slots array, whose adjacent
@@ -938,35 +837,37 @@ Explorer::Result Explorer::run_source_dpor(ExperimentRunner* runner) const {
   // DFS node) cost more than the parallelism bought back (the measured
   // threads=4 < threads=1 regression on the scaling bench). The slot
   // merge below runs in item index order — the totals cannot depend on
-  // which worker ran what, only `steals` (and sims_built) reflect the
-  // scheduling.
-  std::vector<CellResult> slots(items.size());
+  // which worker ran what, only `steals` and sims_built (each engine's
+  // own Sim constructions, tallied once per worker like steals, so a
+  // worker whose queue was stolen empty still reports its Sim) reflect the
+  // pool size.
+  std::vector<ItemResult> slots(items.size());
   std::atomic<std::uint64_t> steals{0};
+  std::atomic<std::uint64_t> worker_sims{0};
   if (!items.empty()) {
     ExperimentRunner& eng = runner_or_shared(runner);
-    const int workers = static_cast<int>(std::min(
+    const std::size_t workers = std::min(
         items.size(),
-        static_cast<std::size_t>(std::max(1, eng.thread_count()))));
+        static_cast<std::size_t>(std::max(1, eng.thread_count())));
     struct Queue {
       std::vector<std::size_t> items;
       std::atomic<std::size_t> next{0};
     };
-    std::vector<Queue> queues(static_cast<std::size_t>(workers));
+    std::vector<Queue> queues(workers);
     {
-      const std::size_t nw = static_cast<std::size_t>(workers);
-      const std::size_t per = items.size() / nw;
-      const std::size_t rem = items.size() % nw;
+      const std::size_t per = items.size() / workers;
+      const std::size_t rem = items.size() % workers;
       std::size_t next_item = 0;
-      for (std::size_t w = 0; w < nw; ++w) {
+      for (std::size_t w = 0; w < workers; ++w) {
         const std::size_t take = per + (w < rem ? 1 : 0);
         for (std::size_t k = 0; k < take; ++k) {
           queues[w].items.push_back(next_item++);
         }
       }
     }
-    eng.parallel_for(static_cast<std::size_t>(workers), [&](std::size_t w) {
-      CellExplorer cell(cfg_);
-      CellResult local;  // worker-local: one hot cache line per worker
+    eng.parallel_for(workers, [&](std::size_t w) {
+      DfsEngine engine(cfg_);
+      ItemResult local;  // worker-local: one hot cache line per worker
       std::uint64_t local_steals = 0;
       for (;;) {
         std::size_t idx = items.size();
@@ -994,12 +895,13 @@ Explorer::Result Explorer::run_source_dpor(ExperimentRunner* runner) const {
         local.best.clear();
         {
           const obs::TraceSpan item_span("explorer.item");
-          cell.run_item(items[idx], local);
+          engine.run_item(items[idx], local);
         }
         slots[idx].stats = local.stats;
         slots[idx].best.swap(local.best);
       }
       steals.fetch_add(local_steals, std::memory_order_relaxed);
+      worker_sims.fetch_add(engine.sims_built(), std::memory_order_relaxed);
     });
   }
 
@@ -1009,12 +911,13 @@ Explorer::Result Explorer::run_source_dpor(ExperimentRunner* runner) const {
     const obs::TraceSpan merge_span("explorer.merge");
     res.stats.merge(planner_slot.stats);
     merge_best(res.best, planner_slot.best);
-    for (const CellResult& slot : slots) {  // item index order: deterministic
+    for (const ItemResult& slot : slots) {  // item index order: deterministic
       res.stats.merge(slot.stats);
       merge_best(res.best, slot.best);
     }
   }
   res.stats.steals += steals.load(std::memory_order_relaxed);
+  res.stats.sims_built += worker_sims.load(std::memory_order_relaxed);
   {
     obs::MetricRegistry& m = obs::MetricRegistry::global();
     if (m.enabled()) {
@@ -1026,7 +929,7 @@ Explorer::Result Explorer::run_source_dpor(ExperimentRunner* runner) const {
 
 Explorer::Result Explorer::run_random_strategy(
     ExperimentRunner* runner) const {
-  std::vector<CellResult> slots(cfg_.seeds.size());
+  std::vector<ItemResult> slots(cfg_.seeds.size());
   runner_or_shared(runner).parallel_for(
       cfg_.seeds.size(), [&](std::size_t i) {
         Sim sim;
@@ -1037,7 +940,7 @@ Explorer::Result Explorer::run_random_strategy(
         RandomScheduler rnd(cfg_.seeds[i]);
         const RunOutcome out =
             drive(sim, rnd, RunLimits{cfg_.random_budget});
-        CellResult& slot = slots[i];
+        ItemResult& slot = slots[i];
         slot.stats.sims_built += 1;
         slot.stats.states_visited += sim.schedule_log().size();
         if (out == RunOutcome::BudgetExhausted) {
@@ -1053,7 +956,7 @@ Explorer::Result Explorer::run_random_strategy(
       });
 
   Result res;
-  for (const CellResult& slot : slots) {
+  for (const ItemResult& slot : slots) {
     res.stats.merge(slot.stats);
     merge_best(res.best, slot.best);
   }

@@ -37,7 +37,9 @@ enum class SearchStrategy : std::uint8_t {
 /// which the POR differential suite asserts for every registry algorithm.
 enum class ReductionPolicy : std::uint8_t {
   /// No reduction: every interleaving within the bounds (the unreduced
-  /// reference search; the only policy the Bounded strategy accepts).
+  /// reference search; the only policy the Bounded strategy accepts). The
+  /// same planner/work-item walk as SourceDpor, minus the sleep transfer,
+  /// the race detector and the cut-point insertions.
   Off,
   /// Source-DPOR (por/source_dpor.h): full sleep sets under the
   /// measurement-aware dependence relation (por/dependence.h — register
@@ -63,20 +65,22 @@ struct ExploreLimits {
   int max_depth = 48;
   /// Context switches per path; -1 = unlimited (Exhaustive).
   int max_preemptions = -1;
-  /// DFS node budget *per engine run* — per frontier cell, and under the
-  /// parallel source-DPOR path per planner walk / per work item; 0 =
-  /// unlimited. Exceeding it cuts the search (result no longer certified;
-  /// ExploreStats::truncated).
+  /// DFS node budget *per engine run* — per planner walk and per work
+  /// item; 0 = unlimited. Exceeding it cuts the search (result no longer
+  /// certified; ExploreStats::truncated).
   std::uint64_t max_states = 0;
-  /// Depth of the parallel frontier split: prefixes of this many picks are
-  /// distributed over the ExperimentRunner as independent cells. Fixed per
-  /// configuration (never derived from the thread count), so results are
-  /// bit-identical for every thread count.
+  /// The planner horizon of every DFS: the sequential planner walks this
+  /// many levels and emits one work item per horizon node, and the items
+  /// run on the ExperimentRunner. Fixed per configuration (never derived
+  /// from the thread count), so results are bit-identical for every
+  /// thread count.
   int frontier_depth = 4;
-  /// Visited-state pruning (on by default). The cache is per frontier
-  /// cell; keys combine core/state_fingerprint with the objective digest.
-  /// Under SourceDpor this selects the sleep-set-aware cache instead
-  /// (stateful DPOR — see ReductionPolicy::SourceDpor and SleepCache).
+  /// Visited-state pruning (on by default) on the SleepCache: one cache
+  /// for the planner's whole walk, and one per work item. Keys combine
+  /// core/state_fingerprint with the objective digest (and, under a
+  /// preemption bound, the last pick); a stored visit covers a revisit
+  /// that sleeps on a superset of its branches (SourceDpor: stateful
+  /// DPOR) or has spent at least as many preemptions (Bounded).
   bool prune_visited = true;
   /// The partial-order reduction applied to Exhaustive searches (src/por/;
   /// see ReductionPolicy). Off by default at this layer; the Study layer
@@ -116,7 +120,7 @@ struct ExploreLimits {
   X(visited_live_bytes)
 
 struct ExploreStats {
-  std::uint64_t states_visited = 0;  ///< DFS nodes entered (all cells)
+  std::uint64_t states_visited = 0;  ///< DFS nodes entered (planner + items)
   std::uint64_t runs_completed = 0;  ///< leaves with no runnable process
   std::uint64_t runs_truncated = 0;  ///< leaves cut by depth/preemption/state budget
   std::uint64_t pruned_visited = 0;  ///< subtrees skipped by the state cache
@@ -131,19 +135,22 @@ struct ExploreStats {
   /// register traffic, no measurement events — the restore cost model.
   std::uint64_t value_replayed_steps = 0;
   std::uint64_t restore_marks = 0;   ///< RewindMarks captured at branching nodes
-  /// --- Parallel source-DPOR counters. ---
+  /// --- Parallel DFS counters. ---
   /// Work items the planner emitted (horizon subtrees fanned over the
   /// worker pool). Thread-count invariant, like every counter above.
   std::uint64_t work_items = 0;
   /// Work items a worker claimed from another worker's queue. The ONE
   /// deliberately thread-dependent counter (with sims_built, which counts
-  /// one private Sim per pool worker): it reports scheduler behaviour,
-  /// not search shape, and is excluded from the study JSON and from the
-  /// bit-identity gates.
+  /// the planner's Sim plus one per pool worker): it reports scheduler
+  /// behaviour, not search shape, and is excluded from the study JSON and
+  /// from the bit-identity gates.
   std::uint64_t steals = 0;
-  std::uint64_t sims_built = 0;      ///< Sim constructions + setup executions
-  std::uint64_t visited_bytes = 0;   ///< bytes reserved by the visited tables
-  /// Bytes of *live* visited-table entries (occupied slots + live spill
+  /// Sim constructions + setup executions, counted where each Sim is
+  /// built: one per DFS engine (restores rewind in place), one per Random
+  /// seed.
+  std::uint64_t sims_built = 0;
+  std::uint64_t visited_bytes = 0;   ///< bytes reserved by the planner's cache
+  /// Bytes of *live* planner-cache entries (occupied slots + live spill
   /// nodes); visited_bytes reports reserved capacity, including the spill
   /// freelist — the bench memory column shows both.
   std::uint64_t visited_live_bytes = 0;
@@ -151,14 +158,15 @@ struct ExploreStats {
   /// is certified only over the explored bounded space. (For waiting
   /// algorithms, whose schedule space is infinite, this is unavoidable.)
   bool truncated = false;
-  /// True iff a cell hit max_states: the *bounded* space itself was not
-  /// fully covered, so the result is not certified even within the bounds.
+  /// True iff an engine run hit max_states: the *bounded* space itself was
+  /// not fully covered, so the result is not certified even within the
+  /// bounds.
   bool state_budget_hit = false;
-  /// True iff the frontier split depth was clamped below the requested
-  /// frontier_depth by the cell cap (n^f would exceed it). Advisory — the
-  /// search is still complete, just with a coarser parallel fan-out — but
-  /// machine-readable here and in the study JSON instead of only a
-  /// one-shot stderr warning.
+  /// True iff the planner horizon was clamped below the requested
+  /// frontier_depth by the 4096-prefix cap (n^f would exceed it).
+  /// Advisory — the search is still complete, just with a coarser parallel
+  /// fan-out — but machine-readable here and in the study JSON instead of
+  /// only a one-shot stderr warning.
   bool frontier_clamped = false;
 
   void merge(const ExploreStats& o);
@@ -198,14 +206,14 @@ struct ExploreObjective {
 /// backtracking, and visited-state pruning — the schedule-space exploration
 /// engine behind the certified worst-case searches.
 ///
-/// Mechanics: the explorer keeps ONE live simulation per frontier cell (or
-/// per source-DPOR planner or worker) and descends by stepping it, ordering
+/// Mechanics: the explorer keeps ONE live simulation per engine (the
+/// planner and each pool worker) and descends by stepping it, ordering
 /// branches continue-last-pid-first so the restore-free first descent
-/// walks the preemption-free spine. One recursive walk serves the grid
-/// cells (Off), the source-DPOR planner and its workers; they differ only
-/// in the branch set (every admitted process / every enabled, awake
-/// process / one seed grown by race insertions) and the visited cache
-/// (VisitedTable / SleepCache). Coroutine frames cannot be copied, so every
+/// walks the preemption-free spine. One recursive walk serves the planner
+/// and the work items under both reduction policies; they differ only in
+/// the branch set (every admitted process / every enabled, awake process
+/// / one seed grown by race insertions), and one SleepCache serves them
+/// all. Coroutine frames cannot be copied, so every
 /// branching node captures a Sim::RewindMark (undo-log length + per-process
 /// digests, O(processes); no register values) and its MeasureAccumulator
 /// snapshot (plain data) into per-depth pools. A sibling restore costs what
@@ -217,16 +225,17 @@ struct ExploreObjective {
 /// zero Sim heap allocation. That is the only sibling restore: tests check
 /// it against a from-scratch Sim::fork oracle (tests/rewind_test.cpp).
 ///
-/// Parallelism: prefixes of frontier_depth picks partition the tree into
-/// independent subtrees, fanned over an ExperimentRunner; per-cell results
-/// reduce in index order, so reports are bit-identical for every thread
-/// count.
+/// Parallelism: a sequential planner walks the top frontier_depth levels
+/// and emits one self-contained work item per horizon node; the items run
+/// on a work-stealing pool over an ExperimentRunner, and per-item results
+/// reduce in item order, so reports are bit-identical for every thread
+/// count (steals and sims_built excepted).
 class Explorer {
  public:
   /// Rebuilds the simulation under exploration and returns an owner handle
   /// for objects that must outlive it (the algorithm instance holding the
   /// register layout). Must be deterministic — it runs once per engine
-  /// (grid cell, planner, or source-DPOR worker).
+  /// (the planner and each pool worker).
   using SetupFn = std::function<std::shared_ptr<void>(Sim&)>;
 
   struct Config {
@@ -247,28 +256,23 @@ class Explorer {
     std::vector<ComplexityReport> best;
   };
 
+  /// Throws std::invalid_argument on an invalid configuration. Exhaustive
+  /// and Bounded searches keep per-process bitmasks, so they take at most
+  /// 32 processes, and a Bounded one at most 31 preemptions; Random takes
+  /// any process count.
   explicit Explorer(Config cfg);
-
-  /// Number of frontier cells a DFS run partitions into: n^f with f the
-  /// (clamped, cap-limited, overflow-guarded) frontier depth. The single
-  /// definition behind run()'s cell grid under ReductionPolicy::Off — it
-  /// builds exactly this many Sims (ExploreStats::sims_built). Under
-  /// SourceDpor the same f is the planner horizon instead: work items
-  /// number at most n^f (sleep pruning drops covered prefix orderings)
-  /// and sims_built is one planner Sim plus one per pool worker.
-  [[nodiscard]] static std::size_t frontier_cells(int nprocs,
-                                                  const ExploreLimits& limits);
 
   /// Runs the exploration. `runner == nullptr` uses the shared pool.
   [[nodiscard]] Result run(ExperimentRunner* runner = nullptr) const;
 
  private:
   [[nodiscard]] Result run_random_strategy(ExperimentRunner* runner) const;
-  /// The parallel source-DPOR path: a sequential planner fans the top f
-  /// levels into self-contained work items, executed by a work-stealing
-  /// worker pool; results merge in item index order, so everything except
-  /// steals/sims_built is bit-identical at every thread count.
-  [[nodiscard]] Result run_source_dpor(ExperimentRunner* runner) const;
+  /// Every Exhaustive and Bounded search: a sequential planner fans the
+  /// top f levels into self-contained work items, executed by a
+  /// work-stealing worker pool; results merge in item index order, so
+  /// everything except steals/sims_built is bit-identical at every thread
+  /// count. sims_built is exactly 1 + min(work items, threads).
+  [[nodiscard]] Result run_dfs(ExperimentRunner* runner) const;
 
   Config cfg_;
 };

@@ -20,7 +20,7 @@ namespace cfc {
 /// frame of a size seen before is recycled with two pointer moves.
 ///
 /// Threading: an arena serves ONE thread at a time (the explorer keeps one
-/// Sim — and with it one arena — per frontier cell, each driven by a single
+/// Sim — and with it one arena — per DFS engine, each driven by a single
 /// worker). The active arena is published through a thread-local pointer
 /// (FrameArena::Scope); Task<T>'s promise operator new consults it, so
 /// every coroutine frame created while a Sim is stepping lands in that

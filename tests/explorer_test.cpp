@@ -5,6 +5,7 @@
 // (d) still find safety violations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -278,26 +279,6 @@ TEST(Explorer, ExhaustiveIgnoresLeftoverPreemptionLimit) {
   EXPECT_EQ(a.states_visited, b.states_visited);
 }
 
-TEST(Explorer, UnreducedSearchAcceptsMoreThan32Processes) {
-  // Process bitmasks (sleep sets, backtrack masks) cap only the reduced
-  // search at 32 processes (ConstructorRejectsInvalidConfigurations); the
-  // unreduced DFS keeps no per-pid mask, so an n = 33 search must run
-  // clean (the ASan/UBSan job runs this suite).
-  constexpr int kN = 33;
-  Explorer::Config cfg;
-  cfg.nprocs = kN;
-  cfg.strategy = SearchStrategy::Exhaustive;
-  cfg.limits.max_depth = 3;
-  cfg.setup = [](Sim& sim) -> std::shared_ptr<void> {
-    return setup_mutex(sim, TasLock::factory(), kN, 1);
-  };
-  const Explorer::Result r = Explorer(cfg).run();
-  EXPECT_GT(r.stats.states_visited, 0u);
-  EXPECT_GT(r.stats.runs_truncated, 0u);
-  EXPECT_EQ(r.stats.violations, 0u);
-  EXPECT_FALSE(r.stats.state_budget_hit);
-}
-
 // The exact traversal of every search configuration the explorer offers,
 // pinned counter by counter: a refactor of the DFS must keep each search
 // walking the same tree in the same order, not just certify the same
@@ -371,11 +352,11 @@ TEST(Explorer, PinsTheTraversalOfEverySearchConfiguration) {
       // peterson-tree n=3 d12.
       {"off, pruning off", "peterson-tree", 3, false, Exhaustive, -1, kOff,
        false,
-       {796326, 0, 530712, 0, 0, 0, 0, 0, 530631, 265614, 3282791, 0}},
+       {796366, 0, 530712, 0, 0, 0, 0, 0, 530711, 265654, 3282950, 81}},
       {"off, pruning on", "peterson-tree", 3, false, Exhaustive, -1, kOff, true,
-       {44031, 0, 15774, 13558, 0, 0, 0, 0, 29251, 14699, 172799, 0}},
+       {9122, 0, 3220, 2847, 0, 0, 0, 0, 6066, 3067, 35325, 18}},
       {"off, bounded p=1", "peterson-tree", 3, false, Bounded, 1, kOff, true,
-       {366, 0, 54, 0, 0, 0, 0, 0, 33, 18, 105, 0}},
+       {394, 0, 54, 0, 0, 0, 0, 0, 53, 28, 132, 21}},
       {"source-dpor, stateless", "peterson-tree", 3, false, Exhaustive, -1,
        kDpor, false,
        {15188, 0, 7625, 0, 0, 6097, 8869, 1911, 7624, 7563, 43113, 77}},
@@ -384,11 +365,11 @@ TEST(Explorer, PinsTheTraversalOfEverySearchConfiguration) {
        {4397, 0, 1952, 364, 0, 1773, 2559, 367, 2315, 2093, 12984, 18}},
       // lamport-fast n=2 d12 with crash_after(1, 2).
       {"off, pruning off", "lamport-fast", 2, true, Exhaustive, -1, kOff, false,
-       {805, 95, 94, 0, 0, 0, 0, 0, 174, 174, 1631, 0}},
+       {820, 95, 94, 0, 0, 0, 0, 0, 188, 188, 1669, 15}},
       {"off, pruning on", "lamport-fast", 2, true, Exhaustive, -1, kOff, true,
-       {380, 21, 24, 89, 0, 0, 0, 0, 119, 119, 1070, 0}},
+       {155, 8, 9, 39, 0, 0, 0, 0, 55, 55, 434, 5}},
       {"off, bounded p=1", "lamport-fast", 2, true, Bounded, 1, kOff, true,
-       {47, 2, 9, 0, 0, 0, 0, 0, 4, 4, 26, 0}},
+       {60, 2, 9, 0, 0, 0, 0, 0, 10, 10, 40, 7}},
       {"source-dpor, stateless", "lamport-fast", 2, true, Exhaustive, -1,
        kDpor, false,
        {224, 14, 15, 0, 0, 52, 42, 31, 54, 168, 404, 15}},
@@ -429,6 +410,18 @@ TEST(Explorer, ConstructorRejectsInvalidConfigurations) {
          c.limits.reduction = ReductionPolicy::SourceDpor;
          c.nprocs = 33;
        }},
+      {"off, 33 processes", [](Explorer::Config& c) { c.nprocs = 33; }},
+      {"bounded, 33 processes",
+       [](Explorer::Config& c) {
+         c.strategy = SearchStrategy::Bounded;
+         c.limits.max_preemptions = 1;
+         c.nprocs = 33;
+       }},
+      {"bounded, max_preemptions 32",
+       [](Explorer::Config& c) {
+         c.strategy = SearchStrategy::Bounded;
+         c.limits.max_preemptions = 32;
+       }},
       {"off, depth -1", [](Explorer::Config& c) { c.limits.max_depth = -1; }},
       {"off, depth -2", [](Explorer::Config& c) { c.limits.max_depth = -2; }},
       {"source-dpor, depth -1",
@@ -458,8 +451,10 @@ TEST(Explorer, ConstructorRejectsInvalidConfigurations) {
 }
 
 TEST(Explorer, NewCountersAreThreadInvariant) {
-  // restores / value_replayed_steps / sims_built / visited_bytes are
-  // per-cell deterministic sums, so they must not depend on the pool size.
+  // restores / value_replayed_steps / visited_bytes are per-item
+  // deterministic sums, so they must not depend on the pool size.
+  // sims_built counts one Sim per engine: the planner's plus one per pool
+  // worker, and a pool never runs more workers than items.
   ExperimentRunner seq(1);
   ExperimentRunner par(4);
   Explorer::Config cfg;
@@ -474,8 +469,11 @@ TEST(Explorer, NewCountersAreThreadInvariant) {
   const Explorer::Result b = explorer.run(&par);
   EXPECT_EQ(a.stats.restores, b.stats.restores);
   EXPECT_EQ(a.stats.value_replayed_steps, b.stats.value_replayed_steps);
-  EXPECT_EQ(a.stats.sims_built, b.stats.sims_built);
   EXPECT_EQ(a.stats.visited_bytes, b.stats.visited_bytes);
+  EXPECT_EQ(a.stats.sims_built,
+            1 + std::min<std::uint64_t>(a.stats.work_items, 1));
+  EXPECT_EQ(b.stats.sims_built,
+            1 + std::min<std::uint64_t>(b.stats.work_items, 4));
   EXPECT_GT(a.stats.visited_bytes, 0u);
 }
 

@@ -324,12 +324,18 @@ std::string study_json_at(const StudySpec& spec, int threads) {
 
 /// Runs the spec at threads 1 (the reference engine) and 2/4/8 and
 /// asserts the timing-free cfc.study.v1 payloads are byte-identical —
-/// the determinism contract of the work-stealing source-DPOR path.
+/// the determinism contract of the work-stealing DFS path, under either
+/// reduction policy.
 void expect_json_thread_invariant(const StudySpec& spec,
-                                  const std::string& what) {
+                                  const std::string& what,
+                                  ReductionPolicy policy =
+                                      ReductionPolicy::SourceDpor) {
   const std::string reference = study_json_at(spec, 1);
-  // The reference payload really exercised the reduced parallel path.
-  EXPECT_NE(reference.find("\"policy\": \"source-dpor\""), std::string::npos)
+  // The reference payload really exercised the parallel path under the
+  // expected policy.
+  EXPECT_NE(reference.find("\"policy\": \"" + std::string(name(policy)) +
+                           "\""),
+            std::string::npos)
       << what;
   EXPECT_NE(reference.find("\"work_items\":"), std::string::npos) << what;
   EXPECT_NE(reference.find("\"restore_marks\":"), std::string::npos) << what;
@@ -382,6 +388,31 @@ TEST(PorStudyJson, DetectorByteIdenticalAcrossThreadCounts) {
         SCOPED_TRACE(what);
         expect_json_thread_invariant(spec, what);
       }
+    }
+  }
+}
+
+TEST(PorStudyJson, UnreducedByteIdenticalAcrossThreadCounts) {
+  // The unreduced search runs on the same planner and work-stealing pool:
+  // its Exhaustive and Bounded payloads obey the same contract.
+  for (const MutexAlgorithmEntry* e :
+       AlgorithmRegistry::instance().mutex_for_n(2)) {
+    for (const bool bounded : {false, true}) {
+      ExploreLimits limits;
+      limits.max_depth = 12;
+      limits.max_preemptions = bounded ? 2 : -1;
+      const StudySpec spec =
+          StudySpec::of(e->info.name)
+              .kind(StudyKind::Mutex)
+              .n(2)
+              .worst_case(bounded ? SearchStrategy::Bounded
+                                  : SearchStrategy::Exhaustive)
+              .limits(limits)
+              .reduction(ReductionPolicy::Off);
+      const std::string what =
+          e->info.name + (bounded ? " off bounded" : " off exhaustive");
+      SCOPED_TRACE(what);
+      expect_json_thread_invariant(spec, what, ReductionPolicy::Off);
     }
   }
 }

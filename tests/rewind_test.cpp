@@ -8,6 +8,8 @@
 // marks, cache or partial-order reduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <span>
@@ -199,8 +201,8 @@ TEST(Rewind, FrameRecreationIsServedFromThePoolAfterWarmup) {
 }
 
 TEST(Rewind, RestoresPerformZeroSimConstructions) {
-  // With mark restores, Sim construction count equals the frontier cell
-  // count no matter how many restores ran.
+  // With mark restores, the Sims built are the planner's plus one per pool
+  // worker, no matter how many restores ran.
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
   Explorer::Config cfg;
@@ -210,9 +212,11 @@ TEST(Rewind, RestoresPerformZeroSimConstructions) {
   cfg.setup = [&factory](Sim& sim) -> std::shared_ptr<void> {
     return setup_mutex(sim, factory, 2, 1);
   };
-  const Explorer::Result r = Explorer(cfg).run();
+  ExperimentRunner runner(2);
+  const Explorer::Result r = Explorer(cfg).run(&runner);
   ASSERT_GT(r.stats.restores, 0u);
-  EXPECT_EQ(r.stats.sims_built, Explorer::frontier_cells(2, cfg.limits));
+  EXPECT_EQ(r.stats.sims_built,
+            1 + std::min<std::uint64_t>(r.stats.work_items, 2));
   EXPECT_GT(r.stats.restore_marks, 0u);
   EXPECT_GT(r.stats.value_replayed_steps, 0u);
 }
