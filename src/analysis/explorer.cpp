@@ -178,16 +178,17 @@ class DfsEngine {
     flush_metrics();
   }
 
-  /// Phase 2: executes one work item. The worker rewinds its Sim to the
-  /// run start in place and re-steps the prefix live (the planner proved
-  /// it realizable and violation-free), summing the preemptions it spends.
+  /// Phase 2: executes one work item. The worker restores its Sim to the
+  /// run-start mark (Sim::rewind_to_mark, the same restore every sibling
+  /// backtrack uses) and re-steps the prefix live (the planner proved it
+  /// realizable and violation-free), summing the preemptions it spends.
   /// Under source-DPOR, prefix units join the race detector's trace with
   /// foreign-node masks. Repositioning is part of claiming the item, not a
   /// sibling backtrack, so it counts into no restore counter.
   void run_item(const WorkItem& item, ItemResult& out) {
     out_ = &out;
     begin_metrics();
-    sim_->rewind_to(0);
+    sim_->rewind_to_mark(base_mark_);
     acc_ = MeasureAccumulator(cfg_.nprocs);  // sink address is stable
     // A fresh cache per item (capacity kept): cache hits must depend only
     // on the item's own subtree, never on which items this worker ran
@@ -298,6 +299,7 @@ class DfsEngine {
     owner_ = cfg_.setup(*sim_);
     sim_->set_trace_recording(false);
     sim_->mark_rewind_base();
+    sim_->capture_mark(base_mark_);
     ++sims_built_;
     sim_->add_sink(acc_);
   }
@@ -691,6 +693,7 @@ class DfsEngine {
   std::vector<NextStep> pend_pool_;
   std::vector<MeasureAccumulator> acc_pool_;  ///< per-depth node snapshots
   std::vector<Sim::RewindMark> mark_pool_;    ///< per-depth rewind marks
+  Sim::RewindMark base_mark_;  ///< the run start run_item() restores to
   std::uint64_t nodes_ = 0;
   std::uint64_t sims_built_ = 0;   ///< see sims_built()
   std::uint64_t rewind_tick_ = 0;  ///< restore() sampling counter
@@ -757,17 +760,20 @@ namespace {
 
 /// Hard cap on the planner fan-out; n^f is clamped under it.
 constexpr std::size_t kPrefixCap = 4096;
+/// The planner horizon every DFS asks for (never derived from the thread
+/// count, so results are bit-identical for every thread count).
+constexpr int kFrontierDepth = 4;
 
-/// Planner horizon f: the planner fans the top f levels out into at most
-/// n^f work items, capped so wide process counts cannot explode — or
-/// overflow — the item count. Depends only on (n, frontier_depth):
-/// thread-count invariant. A clamp below the requested depth logs a
-/// one-shot warning AND reports through `clamped` so
-/// ExploreStats::frontier_clamped (and the study JSON) make the coarser
-/// fan-out machine-readable.
+/// Planner horizon f: the planner fans the top f = min(kFrontierDepth,
+/// max_depth) levels out into at most n^f work items, capped so wide
+/// process counts cannot explode — or overflow — the item count. Depends
+/// only on (n, max_depth): thread-count invariant. A clamp below the
+/// requested depth logs a one-shot warning AND reports through `clamped`
+/// so ExploreStats::frontier_clamped (and the study JSON) make the
+/// coarser fan-out machine-readable.
 int frontier_split_depth(int nprocs, const ExploreLimits& limits,
                          bool& clamped) {
-  const int want_f = std::clamp(limits.frontier_depth, 0, limits.max_depth);
+  const int want_f = std::min(kFrontierDepth, limits.max_depth);
   // Division instead of multiplication: overflow-proof for any nprocs.
   const std::size_t max_prefixes =
       kPrefixCap / static_cast<std::size_t>(nprocs);

@@ -69,12 +69,6 @@ struct ExploreLimits {
   /// item; 0 = unlimited. Exceeding it cuts the search (result no longer
   /// certified; ExploreStats::truncated).
   std::uint64_t max_states = 0;
-  /// The planner horizon of every DFS: the sequential planner walks this
-  /// many levels and emits one work item per horizon node, and the items
-  /// run on the ExperimentRunner. Fixed per configuration (never derived
-  /// from the thread count), so results are bit-identical for every
-  /// thread count.
-  int frontier_depth = 4;
   /// Visited-state pruning (on by default) on the SleepCache: one cache
   /// for the planner's whole walk, and one per work item. Keys combine
   /// core/state_fingerprint with the objective digest (and, under a
@@ -162,8 +156,9 @@ struct ExploreStats {
   /// not fully covered, so the result is not certified even within the
   /// bounds.
   bool state_budget_hit = false;
-  /// True iff the planner horizon was clamped below the requested
-  /// frontier_depth by the 4096-prefix cap (n^f would exceed it).
+  /// True iff the planner horizon was clamped below its fixed depth of 4
+  /// (or max_depth, if smaller) by the 4096-prefix cap (n^f would exceed
+  /// it).
   /// Advisory — the search is still complete, just with a coarser parallel
   /// fan-out — but machine-readable here and in the study JSON instead of
   /// only a one-shot stderr warning.
@@ -222,12 +217,14 @@ struct ExploreObjective {
 /// the node from their recorded value tapes, and
 /// MeasureAccumulator::rewind_to copies back only the processes whose
 /// measurement state changed below it. Steady state, a restore performs
-/// zero Sim heap allocation. That is the only sibling restore: tests check
-/// it against a from-scratch Sim::fork oracle (tests/rewind_test.cpp).
+/// zero Sim heap allocation. That is the only restore — a work item
+/// repositions at the run-start mark the same way — and tests check it
+/// against a from-scratch Sim::fork oracle (tests/rewind_test.cpp).
 ///
-/// Parallelism: a sequential planner walks the top frontier_depth levels
-/// and emits one self-contained work item per horizon node; the items run
-/// on a work-stealing pool over an ExperimentRunner, and per-item results
+/// Parallelism: a sequential planner walks the top min(4, max_depth)
+/// levels (fixed, never derived from the thread count) and emits one
+/// self-contained work item per horizon node; the items run on a
+/// work-stealing pool over an ExperimentRunner, and per-item results
 /// reduce in item order, so reports are bit-identical for every thread
 /// count (steals and sims_built excepted).
 class Explorer {

@@ -698,7 +698,6 @@ std::string search_key(const WorstCaseSearchOptions& o) {
          "|depth=" + std::to_string(o.limits.max_depth) +
          "|preempt=" + std::to_string(o.limits.max_preemptions) +
          "|states=" + std::to_string(o.limits.max_states) +
-         "|frontier=" + std::to_string(o.limits.frontier_depth) +
          "|prune=" + std::to_string(o.limits.prune_visited ? 1 : 0) +
          "|reduction=" + name(o.limits.reduction) +
          "|rr=" + std::to_string(o.detector_round_robin ? 1 : 0) +

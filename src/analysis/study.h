@@ -37,7 +37,7 @@ enum class StudyKind : std::uint8_t { Mutex, Naming, Detector };
 
 /// How to search for worst cases: the strategy plus its budgets. The
 /// Exhaustive/Bounded strategies run the schedule-space Explorer (DFS with
-/// checkpoint-based backtracking and visited-state pruning); Random is the
+/// mark-based backtracking and visited-state pruning); Random is the
 /// legacy seeded sampler. (Naming studies instead run the fixed adversary
 /// battery — sequential, round-robin, the Theorem 6 lockstep adversary —
 /// plus one random schedule per seed; strategy and limits are ignored.)

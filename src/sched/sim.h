@@ -31,14 +31,16 @@ class Sim;
 /// everything that is set up *before* the first scheduler pick. Must be
 /// deterministic: Sim::fork() replays a schedule prefix against a rebuilt
 /// simulation and verifies the result against the checkpoint's memory
-/// fingerprint.
+/// fingerprint. fork() is the from-scratch replay oracle: the in-place
+/// restore (Sim::rewind_to_mark) is tested against it.
 using SimBuilder = std::function<void(Sim&)>;
 
 /// A resumable point in a run. Coroutine frames cannot be copied, so a
 /// checkpoint is *not* a deep copy of the simulator: it is the schedule
 /// prefix that led here (every scheduler pick, in order) plus a snapshot of
 /// shared memory for verification. Restoring = rebuilding a fresh simulation
-/// with the same SimBuilder and replaying the prefix (fork-by-replay).
+/// with the same SimBuilder and replaying the prefix (fork-by-replay) — a
+/// plain simulator run with no undo log, value tape or mark involved.
 ///
 /// What a fork restores exactly: register values, per-process coroutine
 /// positions, sections, outputs, access counts, pending accesses, crash
@@ -325,14 +327,11 @@ class Sim {
 
   /// --- Checkpointing (fork-by-replay). ---
 
-  /// Captures the current point of the run: the full schedule log plus (by
-  /// default) a memory snapshot. O(picks + registers). See SimCheckpoint for
-  /// the exact restore semantics. `with_memory = false` skips the deep copy
-  /// of the register values and leaves `cp.memory` empty — fork() then
-  /// verifies the replay by fingerprint and event counter only, which is
-  /// what fingerprint-tracking callers (the explorer) need; keep the
-  /// default when the checkpoint should be self-verifying value-for-value.
-  [[nodiscard]] SimCheckpoint checkpoint(bool with_memory = true) const;
+  /// Captures the current point of the run: the full schedule log plus a
+  /// memory snapshot, so fork() verifies the replay value for value.
+  /// O(picks + registers). See SimCheckpoint for the exact restore
+  /// semantics.
+  [[nodiscard]] SimCheckpoint checkpoint() const;
 
   /// Restores a checkpoint into a fresh simulation: `rebuild` reconstructs
   /// the static setup, then the schedule prefix is replayed with event
@@ -344,8 +343,7 @@ class Sim {
   /// std::logic_error. Attach sinks to the returned simulation afterwards —
   /// they see only post-fork events.
   ///
-  /// `cp.memory_fingerprint == 0 && cp.memory.empty()` skips verification
-  /// (used by the explorer, which tracks fingerprints per node itself).
+  /// `cp.memory_fingerprint == 0 && cp.memory.empty()` skips verification.
   [[nodiscard]] static std::unique_ptr<Sim> fork(const SimCheckpoint& cp,
                                                  const SimBuilder& rebuild);
 
@@ -359,49 +357,16 @@ class Sim {
       std::uint64_t expect_fingerprint, Seq expect_seq,
       const SimBuilder& rebuild, const MemorySnapshot* expect_memory = nullptr);
 
-  /// checkpoint() + fork(): a second simulation positioned exactly here.
-  [[nodiscard]] std::unique_ptr<Sim> fork(const SimBuilder& rebuild) const {
-    return fork(checkpoint(), rebuild);
-  }
+  /// --- In-place restore (the explorer's only restore path). ---
 
-  /// --- In-place rewind (recycled restore; the explorer's hot path). ---
-
-  /// Captures the post-setup baseline rewind_to() restores: the register
-  /// values, the event counter, and each process's crash plan. Must be
-  /// called before any unit executes (schedule log empty) — i.e. right
-  /// after the static setup — and marks this simulation as rewindable.
+  /// Makes this simulation rewindable: records each process's crash plan
+  /// (the state a value-replayed process is reset to) and turns on the
+  /// register undo log, the per-pid value tapes and the per-Sim frame
+  /// arena that capture_mark()/rewind_to_mark() rely on. Must be called
+  /// before any unit executes (schedule log empty) — i.e. right after the
+  /// static setup. A mark captured right after it is the run start: the
+  /// explorer repositions each work item there.
   void mark_rewind_base();
-  [[nodiscard]] bool rewind_base_marked() const { return rewind_base_set_; }
-
-  /// Repositions THIS simulation at `prefix_len` units of its own schedule
-  /// log, in place: destroys every coroutine frame (recycled through the
-  /// per-Sim frame arena), resets processes and registers to the
-  /// mark_rewind_base() baseline, and quietly re-executes the first
-  /// `prefix_len` units of the previous run — the schedule log is reused
-  /// where it sits, never copied. Equivalent to fork()-ing a checkpoint
-  /// taken at that point, but with zero Sim construction, zero setup
-  /// re-execution, and (steady-state) zero heap allocation.
-  ///
-  /// Like fork(), the replay runs with sinks, trace materialization, and
-  /// invariant checks suppressed; any materialized trace is cleared.
-  /// Attached sinks stay attached and see only post-rewind events — reset
-  /// their state alongside (the explorer rebuilds its accumulator). The
-  /// register undo log is cleared and re-logged by the replay, so a
-  /// RewindMark captured at or below `prefix_len` stays valid.
-  /// Verification: `expect_fingerprint == 0` skips it; otherwise the
-  /// memory fingerprint and event counter must match or the rewind throws
-  /// std::logic_error. `expect_memory`, when non-null, also
-  /// compares full register values (debug; costs a snapshot per call).
-  void rewind_to(std::size_t prefix_len, std::uint64_t expect_fingerprint = 0,
-                 Seq expect_seq = 0,
-                 const MemorySnapshot* expect_memory = nullptr);
-
-  struct RewindStats {
-    std::uint64_t rewinds = 0;         ///< rewind/rewind-to-mark calls completed
-    std::uint64_t replayed_units = 0;  ///< schedule units re-executed by them
-  };
-
-  /// --- Mark-based partial rewind (the explorer's restore round 3). ---
 
   /// A restore point along the current run: the length of the register
   /// undo log, the event counter, and each process's observation digest
@@ -414,7 +379,7 @@ class Sim {
   /// feeding each unit the Value the original execution delivered (its
   /// per-pid value tape) so the coroutine re-reaches its suspension point
   /// without touching memory. Processes with no units past the mark are
-  /// left entirely alone — the savings over rewind_to(), which resets and
+  /// left entirely alone — the savings over a fork(), which rebuilds and
   /// replays every process.
   struct RewindMark {
     std::uint64_t fingerprint = 0;  ///< RegisterFile::fingerprint() at capture
@@ -449,17 +414,19 @@ class Sim {
   /// (a mutual-exclusion violation) logged that write like any other, so
   /// it is undone too. Digests and access counts of touched processes are
   /// restored from the mark (they fold memory values a value-replay cannot
-  /// see). Sinks/trace semantics match rewind_to().
+  /// see). Like fork(), the replay runs with sinks, trace materialization
+  /// and invariant checks suppressed, and any materialized trace is
+  /// cleared; attached sinks stay attached and see only post-rewind events
+  /// — restore their state alongside (the explorer rewinds its
+  /// accumulator). A mark whose fingerprint does not match the restored
+  /// memory throws std::logic_error.
   ///
   /// Sound because a process with units past the mark was runnable at the
   /// mark, so its prefix units contain no crash/finish and every recorded
   /// value feeds a live suspension. Returns the number of units actually
-  /// value-replayed (<= prefix units of touched processes; the traversal-
-  /// observable state is identical to rewind_to(mark.prefix_len)).
+  /// value-replayed (<= prefix units of touched processes; the observable
+  /// state is identical to a fork() of the first mark.prefix_len units).
   std::size_t rewind_to_mark(const RewindMark& mark);
-  [[nodiscard]] const RewindStats& rewind_stats() const {
-    return rewind_stats_;
-  }
 
   /// Allocation counters of the per-Sim coroutine frame arena.
   [[nodiscard]] const FrameArena::Stats& frame_arena_stats() const {
@@ -478,10 +445,6 @@ class Sim {
   [[nodiscard]] const std::vector<SimCheckpoint::Unit>& schedule_log() const {
     return sched_log_;
   }
-
-  /// True while this simulation is replaying a checkpoint prefix inside
-  /// fork() (sinks/trace/invariant checks suppressed).
-  [[nodiscard]] bool in_replay() const { return quiet_replay_; }
 
   /// 64-bit digest of everything process `pid` has observed: its access
   /// history including returned values, plus start/yield/crash/finish
@@ -595,10 +558,6 @@ class Sim {
   TraceRecorder recorder_;
   std::vector<EventSink*> sinks_;
   std::vector<SimCheckpoint::Unit> sched_log_;
-  /// Recycled scratch for rewind_to: the old schedule log is swapped here
-  /// and replayed from, so the log is never copied and both buffers keep
-  /// their capacity across rewinds (steady-state allocation-free).
-  std::vector<SimCheckpoint::Unit> replay_buf_;
   /// Per-pid value tapes (rewindable simulations only): for each process,
   /// the Value each of its non-start units delivered (Proc::last_result
   /// after the unit; 0 for yield/crash units), in its own program order.
@@ -614,26 +573,20 @@ class Sim {
   };
   /// Register undo log (rewindable simulations only): one entry per
   /// value-changing write since mark_rewind_base(), in execution order.
-  /// rewind_to_mark() pops it back to RewindMark::undo_len; rewind_to()
-  /// clears it and rebuilds it during its replay, so a mark at or below the
-  /// replayed prefix stays valid.
+  /// rewind_to_mark() pops it back to RewindMark::undo_len.
   std::vector<UndoEntry> undo_;
   /// Scratch for rewind_to_mark's touched-process scan (recycled).
   std::vector<char> touched_buf_;
-  /// Scratch for rewind_to's per-pid tape truncation (recycled).
-  std::vector<std::uint32_t> unit_count_buf_;
   /// XOR accumulator behind proc_state_fp().
   std::uint64_t procs_fp_ = 0;
-  /// mark_rewind_base() baseline.
+  /// Set by mark_rewind_base(), with each process's crash plan at that
+  /// point (what a value-replayed process is reset to).
   bool rewind_base_set_ = false;
-  MemorySnapshot base_memory_;
-  Seq base_seq_ = 0;
   std::vector<std::optional<std::uint64_t>> base_crash_;
-  RewindStats rewind_stats_;
   /// last_step_summary(): rebuilt by every step()/ensure_started() unit.
   StepSummary last_step_;
-  /// True only inside rewind_to's replay: step/ensure_started skip the
-  /// per-unit log append (the log is bulk-restored from replay_buf_ after).
+  /// True only inside rewind_to_mark's value replay: ensure_started skips
+  /// the per-unit log append (the log is truncated to the mark after).
   bool bulk_replay_ = false;
   bool quiet_replay_ = false;
   bool record_trace_ = true;

@@ -33,7 +33,7 @@ struct PromiseBase {
 
   /// Coroutine frames route through the frame arena (sched/frame_arena.h):
   /// when a Sim has installed its arena for the current thread, frames are
-  /// recycled across the explorer's rewind-replay restores instead of
+  /// recycled across the explorer's mark restores instead of
   /// hitting the global heap; with no arena installed this is one
   /// thread-local read over plain operator new.
   static void* operator new(std::size_t size) { return frame_alloc(size); }

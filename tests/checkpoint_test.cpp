@@ -127,35 +127,6 @@ TEST(Checkpoint, ForkVerifiesMemoryFingerprint) {
   EXPECT_THROW((void)Sim::fork(cp, rebuild), std::logic_error);
 }
 
-TEST(Checkpoint, MemorySnapshotIsOptIn) {
-  // checkpoint(false) skips the deep MemorySnapshot copy; the checkpoint
-  // still replays and verifies by fingerprint + event counter. The
-  // default stays value-verifying (cp.memory populated).
-  const MutexFactory factory =
-      AlgorithmRegistry::instance().mutex("peterson-2p").factory;
-  const SimBuilder rebuild = mutex_builder(factory, 2, 1, {});
-  Sim sim;
-  rebuild(sim);
-  RandomScheduler rnd(5);
-  drive(sim, rnd, RunLimits{12});
-
-  const SimCheckpoint full = sim.checkpoint();
-  EXPECT_FALSE(full.memory.empty());
-  SimCheckpoint light = sim.checkpoint(/*with_memory=*/false);
-  EXPECT_TRUE(light.memory.empty());
-  EXPECT_EQ(light.memory_fingerprint, full.memory_fingerprint);
-  EXPECT_EQ(light.next_seq, full.next_seq);
-  EXPECT_EQ(light.schedule.size(), full.schedule.size());
-
-  const std::unique_ptr<Sim> from_light = Sim::fork(light, rebuild);
-  const std::unique_ptr<Sim> from_full = Sim::fork(full, rebuild);
-  expect_same_state(*from_light, *from_full);
-
-  // Fingerprint verification still guards the memory-free checkpoint.
-  light.memory_fingerprint ^= 1;
-  EXPECT_THROW((void)Sim::fork(light, rebuild), std::logic_error);
-}
-
 TEST(Checkpoint, ForkSuppressesSinksDuringReplayThenReattaches) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
@@ -166,7 +137,7 @@ TEST(Checkpoint, ForkSuppressesSinksDuringReplayThenReattaches) {
   drive(sim, rnd, RunLimits{8});
   const Seq at_fork = sim.next_seq();
 
-  std::unique_ptr<Sim> forked = sim.fork(rebuild);
+  std::unique_ptr<Sim> forked = Sim::fork(sim.checkpoint(), rebuild);
   EXPECT_TRUE(forked->trace().empty());  // the prefix is not re-materialized
   EXPECT_EQ(forked->next_seq(), at_fork);
 
@@ -180,7 +151,7 @@ TEST(Checkpoint, ForkSuppressesSinksDuringReplayThenReattaches) {
   EXPECT_GE(post.trace().events().front().seq, at_fork);
 }
 
-TEST(Checkpoint, DriveFromResumesIdenticallyToUninterruptedRun) {
+TEST(Checkpoint, ForkThenDriveResumesIdenticallyToUninterruptedRun) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("kessels-tree").factory;
   const SimBuilder rebuild = mutex_builder(factory, 4, 1, {});
@@ -194,11 +165,11 @@ TEST(Checkpoint, DriveFromResumesIdenticallyToUninterruptedRun) {
   rebuild(first_half);
   RandomScheduler rnd_split(42);
   drive(first_half, rnd_split, RunLimits{40});
-  std::unique_ptr<Sim> resumed;
+  const std::unique_ptr<Sim> resumed =
+      Sim::fork(first_half.checkpoint(), rebuild);
   // The same scheduler object continues: it only observes runnability,
   // which the fork reproduces, so the pick stream is unchanged.
-  const RunOutcome rest = drive_from(first_half.checkpoint(), rebuild,
-                                     rnd_split, resumed, RunLimits{60});
+  const RunOutcome rest = drive(*resumed, rnd_split, RunLimits{60});
   EXPECT_EQ(full, rest);
   expect_same_state(uninterrupted, *resumed);
 }

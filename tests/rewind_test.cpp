@@ -1,11 +1,11 @@
-// Restore fidelity. Sim level: Sim::rewind_to and Sim::rewind_to_mark must
-// reposition the LIVE simulation at any prefix of its own schedule log
-// indistinguishably from Sim::fork of a checkpoint taken there — across
-// every registry algorithm, including crash injection — with frame
-// recreation served from the arena pool after warm-up. Explorer level: the
-// mark-restoring Explorer must certify exactly what a from-scratch oracle
-// finds, a plain DFS that rebuilds every child with Sim::fork and uses no
-// marks, cache or partial-order reduction.
+// Restore fidelity. Sim level: Sim::rewind_to_mark must reposition the
+// LIVE simulation at any mark along its own schedule log — the run-start
+// mark included — indistinguishably from Sim::fork of a checkpoint taken
+// there, across every registry algorithm, including crash injection, with
+// frame recreation served from the arena pool after warm-up. Explorer
+// level: the mark-restoring Explorer must certify exactly what a
+// from-scratch oracle finds, a plain DFS that rebuilds every child with
+// Sim::fork and uses no marks, cache or partial-order reduction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,84 +58,57 @@ void expect_same_state(const Sim& a, const Sim& b) {
   }
 }
 
-/// Runs a random schedule on a rewindable live sim, rewinds it to a
-/// prefix, and differential-tests the result against a fork of the same
-/// prefix — then drives both onward with identical schedulers and
-/// compares again (the rewound sim must behave like the fork forever
-/// after, crash plans included).
-void rewind_and_compare(const MutexFactory& factory, int n,
-                        const std::vector<CrashPlan>& crashes,
-                        std::uint64_t seed) {
-  const SimBuilder rebuild = mutex_builder(factory, n, 1, crashes);
-
-  Sim live;
-  rebuild(live);
-  live.mark_rewind_base();
-  RandomScheduler rnd(seed);
-  drive(live, rnd, RunLimits{60});
-  const std::size_t full_len = live.schedule_log().size();
-  ASSERT_GT(full_len, 0u);
-  const std::size_t prefix_len = full_len / 2;
-
-  const std::unique_ptr<Sim> reference =
-      Sim::fork(std::span(live.schedule_log().data(), prefix_len),
-                /*expect_fingerprint=*/0, /*expect_seq=*/0, rebuild);
-  live.rewind_to(prefix_len);
-  ASSERT_EQ(live.schedule_log().size(), prefix_len);
-  expect_same_state(live, *reference);
-
-  RandomScheduler cont_a(seed + 17);
-  RandomScheduler cont_b(seed + 17);
-  drive(live, cont_a, RunLimits{40});
-  drive(*reference, cont_b, RunLimits{40});
-  expect_same_state(live, *reference);
-}
-
-TEST(Rewind, MatchesForkAcrossAllRegistryMutexAlgorithms) {
-  for (const MutexAlgorithmEntry* e :
-       AlgorithmRegistry::instance().mutex_for_n(2)) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      SCOPED_TRACE(e->info.name);
-      rewind_and_compare(e->factory, 2, {}, seed);
+/// Re-steps `units` live on `sim` (sinks, trace and invariant checks on),
+/// the way a work item re-steps its planner prefix after a base restore.
+void restep(Sim& sim, std::span<const SimCheckpoint::Unit> units) {
+  for (const SimCheckpoint::Unit& u : units) {
+    if (u.start_only) {
+      sim.ensure_started(u.pid);
+    } else {
+      sim.step(u.pid);
     }
   }
 }
 
-TEST(Rewind, MatchesForkUnderCrashInjection) {
-  for (const MutexAlgorithmEntry* e :
-       AlgorithmRegistry::instance().mutex_for_n(4)) {
-    SCOPED_TRACE(e->info.name);
-    rewind_and_compare(e->factory, 4, {{0, 3}, {2, 1}}, 5);
-  }
-}
-
-TEST(Rewind, RewindToZeroAndFullLengthAreExact) {
+TEST(Rewind, BaseMarkAndCurrentMarkAreExact) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
   const SimBuilder rebuild = mutex_builder(factory, 2, 1, {});
   Sim live;
   rebuild(live);
   live.mark_rewind_base();
+  Sim::RewindMark base;
+  live.capture_mark(base);
+  const std::uint64_t setup_fp = live.memory().fingerprint();
+  const Seq setup_seq = live.next_seq();
   RandomScheduler rnd(9);
   drive(live, rnd, RunLimits{30});
-  const std::size_t full_len = live.schedule_log().size();
   const std::uint64_t fp = live.memory().fingerprint();
   const Seq seq = live.next_seq();
+  ASSERT_FALSE(live.schedule_log().empty());
 
-  // Full-length rewind: a complete in-place re-execution of the same run.
-  live.rewind_to(full_len, fp, seq);
+  // A mark at the current point: nothing acted past it, nothing replays.
+  Sim::RewindMark here;
+  live.capture_mark(here);
+  EXPECT_EQ(live.rewind_to_mark(here), 0u);
   EXPECT_EQ(live.memory().fingerprint(), fp);
   EXPECT_EQ(live.next_seq(), seq);
 
-  // Rewind to zero: back to the post-setup baseline.
-  live.rewind_to(0);
+  // The base mark: back to the post-setup state, every process unstarted.
+  EXPECT_EQ(live.rewind_to_mark(base), 0u);
   EXPECT_TRUE(live.schedule_log().empty());
+  EXPECT_EQ(live.memory().fingerprint(), setup_fp);
+  EXPECT_EQ(live.next_seq(), setup_seq);
   for (Pid p = 0; p < live.process_count(); ++p) {
     EXPECT_EQ(live.status(p), ProcStatus::NotStarted);
   }
+  const std::unique_ptr<Sim> fresh =
+      Sim::fork(std::span<const SimCheckpoint::Unit>(),
+                /*expect_fingerprint=*/0, /*expect_seq=*/0, rebuild);
+  expect_same_state(live, *fresh);
 }
 
-TEST(Rewind, VerifiesFingerprintAndSeq) {
+TEST(Rewind, MarkRestoreVerifiesFingerprint) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
   const SimBuilder rebuild = mutex_builder(factory, 2, 1, {});
@@ -143,30 +116,40 @@ TEST(Rewind, VerifiesFingerprintAndSeq) {
   rebuild(live);
   live.mark_rewind_base();
   RandomScheduler rnd(3);
-  drive(live, rnd, RunLimits{20});
-  const std::size_t len = live.schedule_log().size();
-  const std::uint64_t fp = live.memory().fingerprint();
-  const Seq seq = live.next_seq();
+  drive(live, rnd, RunLimits{10});
+  Sim::RewindMark mark;
+  live.capture_mark(mark);
+  drive(live, rnd, RunLimits{10});
 
-  live.rewind_to(len, fp, seq);  // correct expectation: accepted
-  EXPECT_THROW(live.rewind_to(len, fp ^ 1, seq), std::logic_error);
+  Sim::RewindMark corrupt = mark;
+  corrupt.fingerprint ^= 1;
+  EXPECT_THROW(live.rewind_to_mark(corrupt), std::logic_error);
+  live.rewind_to_mark(mark);  // the intact mark: accepted
+  EXPECT_EQ(live.memory().fingerprint(), mark.fingerprint);
 }
 
-TEST(Rewind, RequiresBaselineAndValidPrefix) {
+TEST(Rewind, RequiresBaselineAndValidMark) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
   const SimBuilder rebuild = mutex_builder(factory, 2, 1, {});
   Sim unmarked;
   rebuild(unmarked);
-  EXPECT_THROW(unmarked.rewind_to(0), std::logic_error);
+  Sim::RewindMark none;
+  EXPECT_THROW(unmarked.capture_mark(none), std::logic_error);
+  EXPECT_THROW(unmarked.rewind_to_mark(none), std::logic_error);
 
+  // A mark past the current log (the run was rewound below it) is stale.
   Sim live;
   rebuild(live);
   live.mark_rewind_base();
+  Sim::RewindMark base;
+  live.capture_mark(base);
   RandomScheduler rnd(4);
   drive(live, rnd, RunLimits{10});
-  EXPECT_THROW(live.rewind_to(live.schedule_log().size() + 1),
-               std::out_of_range);
+  Sim::RewindMark later;
+  live.capture_mark(later);
+  live.rewind_to_mark(base);
+  EXPECT_THROW(live.rewind_to_mark(later), std::out_of_range);
 
   // The baseline must be captured before any unit executes.
   Sim late;
@@ -183,17 +166,26 @@ TEST(Rewind, FrameRecreationIsServedFromThePoolAfterWarmup) {
   Sim live;
   rebuild(live);
   live.mark_rewind_base();
+  Sim::RewindMark base;
+  live.capture_mark(base);
   RandomScheduler rnd(11);
   drive(live, rnd, RunLimits{40});
-  const std::size_t len = live.schedule_log().size() / 2;
+  const std::vector<SimCheckpoint::Unit> prefix(
+      live.schedule_log().begin(),
+      live.schedule_log().begin() +
+          static_cast<std::ptrdiff_t>(live.schedule_log().size() / 2));
 
-  live.rewind_to(len);  // warm-up: frees + recreates every frame once
+  // Warm-up: the base restore frees every frame, the re-step recreates
+  // them once.
+  live.rewind_to_mark(base);
+  restep(live, prefix);
   const std::uint64_t fresh_after_first = live.frame_arena_stats().fresh;
   ASSERT_GT(live.frame_arena_stats().reused + fresh_after_first, 0u);
   for (int i = 0; i < 5; ++i) {
-    live.rewind_to(len);
+    live.rewind_to_mark(base);
+    restep(live, prefix);
   }
-  // Identical replays recreate identical frames: all of them recycled,
+  // Identical re-steps recreate identical frames: all of them recycled,
   // zero fresh arena growth, zero heap fallbacks.
   EXPECT_EQ(live.frame_arena_stats().fresh, fresh_after_first);
   EXPECT_EQ(live.frame_arena_stats().fallback, 0u);
@@ -306,10 +298,9 @@ class RacyMutex final : public MutexAlgorithm {
 /// Nested marks against the fork oracle: a random walk over the
 /// operations the explorer composes — step a random runnable process,
 /// capture a mark (pushed on a stack, the current path's checkpoints),
-/// rewind to a random stacked mark (inner or outer; the marks above it
-/// are popped, since the run is now past them), and rewind_to() the
-/// prefix of a stacked mark (which must leave every mark at or below it
-/// valid). After every rewind the live sim must equal a Sim::fork of the
+/// and rewind to a random stacked mark (inner or outer, the run-start mark
+/// included; the marks above it are popped, since the run is now past
+/// them). After every rewind the live sim must equal a Sim::fork of the
 /// same prefix. A step that throws MutualExclusionViolation (its write
 /// already committed) poisons the sim until the next rewind. Returns the
 /// number of violating units, so callers can check the path was taken.
@@ -350,15 +341,7 @@ int nested_marks_against_fork(const MutexFactory& factory, int n,
     if (poisoned || runnable.empty() || roll >= 12) {
       const std::size_t k = rng() % stack.size();
       stack.resize(k + 1);
-      const std::size_t len = stack[k].prefix_len;
-      if (roll == 15) {
-        // Full in-place replay of the mark's prefix: the undo log is
-        // rebuilt, so this mark and every one below it stay usable.
-        live.rewind_to(len, stack[k].fingerprint, stack[k].seq);
-        compare_with_fork(0, len);
-      } else {
-        compare_with_fork(live.rewind_to_mark(stack[k]), len);
-      }
+      compare_with_fork(live.rewind_to_mark(stack[k]), stack[k].prefix_len);
       poisoned = false;
     } else if (roll >= 9) {
       stack.emplace_back();
