@@ -1,6 +1,6 @@
-// P4/P6/P7 (perf) — schedule-space explorer scaling after the
-// allocation-free hot-path rebuild, the parallel source-DPOR round, and
-// the stateful (sleep-set-aware visited cache) round: DFS throughput
+// P4/P6/P7 (perf) — schedule-space explorer scaling after the in-place
+// restore rebuild, the parallel source-DPOR round, and the stateful
+// (sleep-set-aware visited cache) round: DFS throughput
 // (states/sec, min-of-N wall time per run over >= 50 ms samples, keyed on
 // the reduction policy) with the restore-cost counters
 // (restores, value-replayed-steps-per-node, restore_marks, sims_built,
@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
     verify.check(res.stats.visited_live_bytes <= res.stats.visited_bytes,
                  "visited live bytes never exceed reserved at depth " +
                      std::to_string(depth));
-    // The zero-allocation invariant of the mark restore: the Sims built
+    // The zero-construction invariant of the mark restore: the Sims built
     // are the planner's plus one per pool worker, however many restores.
     const auto threads = static_cast<std::uint64_t>(
         runner_or_shared(runner.get()).thread_count());

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/slab_arena.h"
 #include "analysis/visited_table.h"
 #include "core/state_fingerprint.h"
 #include "obs/metrics.h"
@@ -99,13 +98,14 @@ struct ItemResult {
 };
 
 /// One unit of the parallel DFS: a realizable, violation-free schedule
-/// prefix of planner picks (stored in the plan's slab arena) and the sleep
-/// mask at its horizon node. Self-contained — any worker can claim it,
-/// reposition its private Sim, and run the subtree; race detection below
-/// the horizon is per-path (vector clocks live in the worker's own
-/// SourceDpor trace), so items share no mutable state.
+/// prefix of planner picks (the `len` picks at offset `begin` of the
+/// plan's shared prefix vector) and the sleep mask at its horizon node.
+/// Self-contained — any worker can claim it, reposition its private Sim,
+/// and run the subtree; race detection below the horizon is per-path
+/// (vector clocks live in the worker's own SourceDpor trace), so items
+/// share no mutable state.
 struct WorkItem {
-  const Pid* prefix = nullptr;
+  std::uint32_t begin = 0;
   std::uint32_t len = 0;
   std::uint32_t sleep = 0;
 };
@@ -146,7 +146,8 @@ class DfsEngine {
   /// Phase 1: walks the top `horizon` levels of the tree with FULL
   /// branching (every admitted process; under source-DPOR every enabled,
   /// awake one, with the measurement-aware sleep transfer), emitting one
-  /// WorkItem per horizon node reached (prefix picks copied into `arena`).
+  /// WorkItem per horizon node reached (prefix picks appended to
+  /// `prefixes`).
   /// Runs on the calling thread only, so every counter it touches —
   /// including the planner levels' states/leaves/violations/sleep_blocked
   /// — is thread-count invariant by construction.
@@ -158,12 +159,12 @@ class DfsEngine {
   /// reordering of the prefix a subtree race could demand is already a
   /// planner branch, or asleep and therefore covered by a same-length
   /// explored reordering (the classic sleep-set argument).
-  void plan(int horizon, SlabArena& arena, std::vector<WorkItem>& items,
-            ItemResult& out) {
+  void plan(int horizon, std::vector<Pid>& prefixes,
+            std::vector<WorkItem>& items, ItemResult& out) {
     out_ = &out;
     begin_metrics();
     horizon_ = horizon;
-    arena_ = &arena;
+    prefixes_ = &prefixes;
     items_ = &items;
     walk_from<Role::Planner>(0, /*last=*/-1, /*preempt=*/0, /*sleep=*/0);
     // The planner's cache lives for the whole walk (it is what makes
@@ -185,7 +186,8 @@ class DfsEngine {
   /// Under source-DPOR, prefix units join the race detector's trace with
   /// foreign-node masks. Repositioning is part of claiming the item, not a
   /// sibling backtrack, so it counts into no restore counter.
-  void run_item(const WorkItem& item, ItemResult& out) {
+  void run_item(const WorkItem& item, const std::vector<Pid>& prefixes,
+                ItemResult& out) {
     out_ = &out;
     begin_metrics();
     sim_->rewind_to_mark(base_mark_);
@@ -206,7 +208,7 @@ class DfsEngine {
     int preempt = 0;
     Pid last = -1;
     for (std::uint32_t i = 0; i < item.len; ++i) {
-      const Pid p = item.prefix[i];
+      const Pid p = prefixes[item.begin + i];
       if (!sim_->runnable(p)) {
         throw std::logic_error(
             "Explorer: work-item prefix diverged from the planner's run");
@@ -635,12 +637,12 @@ class DfsEngine {
   }
 
   /// Planner horizon: one work item for the subtree below the current
-  /// path (prefix picks copied into the plan's arena).
+  /// path (prefix picks appended to the plan's prefix vector).
   void emit_item(std::uint32_t sleep) {
-    Pid* stored = arena_->alloc<Pid>(path_.size());
-    std::copy(path_.begin(), path_.end(), stored);
+    const auto begin = static_cast<std::uint32_t>(prefixes_->size());
+    prefixes_->insert(prefixes_->end(), path_.begin(), path_.end());
     items_->push_back(
-        WorkItem{stored, static_cast<std::uint32_t>(path_.size()), sleep});
+        WorkItem{begin, static_cast<std::uint32_t>(path_.size()), sleep});
     ++out_->stats.work_items;
   }
 
@@ -685,10 +687,10 @@ class DfsEngine {
   SleepCache scache_;
   std::vector<Pid> path_;  ///< planner: picks along the current path
   int horizon_ = 0;                       ///< planner: work-item depth
-  SlabArena* arena_ = nullptr;            ///< planner: prefix storage
+  std::vector<Pid>* prefixes_ = nullptr;  ///< planner: prefix storage
   std::vector<WorkItem>* items_ = nullptr;  ///< planner: emitted items
   /// SourceDpor only: flat per-depth pending captures (capture_pendings /
-  /// pend_at), one contiguous slab instead of a kMaxPorProcs array per
+  /// pend_at), one contiguous vector instead of a kMaxPorProcs array per
   /// recursion frame.
   std::vector<NextStep> pend_pool_;
   std::vector<MeasureAccumulator> acc_pool_;  ///< per-depth node snapshots
@@ -813,20 +815,20 @@ Explorer::Result Explorer::run_dfs(ExperimentRunner* runner) const {
   // top f levels, emitting one self-contained work item per horizon node.
   // Everything the planner counts is thread-count invariant because only
   // the calling thread runs it.
-  SlabArena arena;
+  std::vector<Pid> prefixes;  // every item's picks, back to back
   std::vector<WorkItem> items;
   ItemResult planner_slot;
   {
     const obs::TraceSpan plan_span("explorer.plan");
     DfsEngine planner(cfg_);
-    planner.plan(f, arena, items, planner_slot);
+    planner.plan(f, prefixes, items, planner_slot);
     planner_slot.stats.sims_built += planner.sims_built();
   }
   {
     obs::MetricRegistry& m = obs::MetricRegistry::global();
     if (m.enabled()) {
       m.add(obs::Metric::work_items, items.size());
-      m.set_max(obs::Metric::slab_bytes, arena.bytes_reserved());
+      m.set_max(obs::Metric::slab_bytes, prefixes.capacity() * sizeof(Pid));
     }
   }
 
@@ -901,7 +903,7 @@ Explorer::Result Explorer::run_dfs(ExperimentRunner* runner) const {
         local.best.clear();
         {
           const obs::TraceSpan item_span("explorer.item");
-          engine.run_item(items[idx], local);
+          engine.run_item(items[idx], prefixes, local);
         }
         slots[idx].stats = local.stats;
         slots[idx].best.swap(local.best);

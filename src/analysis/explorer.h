@@ -216,8 +216,9 @@ struct ExploreObjective {
 /// back to the mark and value-replays only the processes that acted below
 /// the node from their recorded value tapes, and
 /// MeasureAccumulator::rewind_to copies back only the processes whose
-/// measurement state changed below it. Steady state, a restore performs
-/// zero Sim heap allocation. That is the only restore — a work item
+/// measurement state changed below it. A restore constructs no Sim; it
+/// frees and re-allocates only the coroutine frames of the processes it
+/// value-replays. That is the only restore — a work item
 /// repositions at the run-start mark the same way — and tests check it
 /// against a from-scratch Sim::fork oracle (tests/rewind_test.cpp).
 ///

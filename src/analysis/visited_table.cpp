@@ -31,7 +31,7 @@ void SleepCache::grow() {
   slots_.assign(old.empty() ? kInitialCapacity : old.size() * 2, Slot{});
   for (const Slot& s : old) {
     if (s.key != 0) {
-      // Spill chains move with the slot: arena addresses survive rehash.
+      // Spill chains move with the slot: node indices survive rehash.
       slots_[find_slot(s.key)] = s;
     }
   }
@@ -51,8 +51,8 @@ bool SleepCache::subsumed(std::uint64_t raw_key, std::uint32_t sleep) const {
       return true;
     }
   }
-  for (const SpillNode* n = slot.spill_head; n != nullptr; n = n->next) {
-    if ((n->mask & ~sleep) == 0) {
+  for (std::uint32_t n = slot.spill_head; n != kNil; n = spill_[n].next) {
+    if ((spill_[n].mask & ~sleep) == 0) {
       return true;
     }
   }
@@ -80,8 +80,8 @@ bool SleepCache::check_and_insert(std::uint64_t raw_key,
         return true;
       }
     }
-    for (const SpillNode* n = slot.spill_head; n != nullptr; n = n->next) {
-      if ((n->mask & ~sleep) == 0) {
+    for (std::uint32_t n = slot.spill_head; n != kNil; n = spill_[n].next) {
+      if ((spill_[n].mask & ~sleep) == 0) {
         return true;
       }
     }
@@ -106,16 +106,16 @@ void SleepCache::insert_into(Slot& slot, std::uint64_t key,
     }
   }
   slot.inline_count = kept;
-  SpillNode** link = &slot.spill_head;
-  while (*link != nullptr) {
-    SpillNode* node = *link;
-    if ((sleep & ~node->mask) == 0) {
-      *link = node->next;
-      node->next = spill_free_;
-      spill_free_ = node;
+  std::uint32_t* link = &slot.spill_head;
+  while (*link != kNil) {
+    const std::uint32_t n = *link;
+    if ((sleep & ~spill_[n].mask) == 0) {
+      *link = spill_[n].next;
+      spill_[n].next = spill_free_;
+      spill_free_ = n;
       --spill_live_;
     } else {
-      link = &node->next;
+      link = &spill_[n].next;
     }
   }
 
@@ -123,30 +123,30 @@ void SleepCache::insert_into(Slot& slot, std::uint64_t key,
     slot.inline_masks[slot.inline_count++] = sleep;
     return;
   }
-  SpillNode* node;
-  if (spill_free_ != nullptr) {
-    node = spill_free_;
-    spill_free_ = node->next;
+  std::uint32_t n;
+  if (spill_free_ != kNil) {
+    n = spill_free_;
+    spill_free_ = spill_[n].next;
   } else {
-    node = spill_arena_.alloc<SpillNode>(1);
+    n = static_cast<std::uint32_t>(spill_.size());
+    spill_.emplace_back();
   }
-  node->mask = sleep;
-  node->next = slot.spill_head;
-  slot.spill_head = node;
+  spill_[n] = SpillNode{sleep, slot.spill_head};
+  slot.spill_head = n;
   ++spill_live_;
 }
 
 void SleepCache::clear() {
   std::fill(slots_.begin(), slots_.end(), Slot{});
-  spill_arena_.reset();
-  spill_free_ = nullptr;
+  spill_.clear();
+  spill_free_ = kNil;
   spill_live_ = 0;
   used_ = 0;
 }
 
 std::size_t SleepCache::bytes() const {
   return slots_.capacity() * sizeof(Slot) +
-         static_cast<std::size_t>(spill_arena_.bytes_reserved());
+         spill_.capacity() * sizeof(SpillNode);
 }
 
 std::size_t SleepCache::live_bytes() const {

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/slab_arena.h"
-
 namespace cfc {
 
 /// The explorer's visited cache, for every DFS search.
@@ -26,10 +24,11 @@ namespace cfc {
 /// length (equal remaining depth budget) automatically.
 ///
 /// Open addressing over a power-of-two slot array, two inline masks per
-/// key, longer antichains spilled into arena-backed nodes recycled through
-/// a free list. One lookup is one hash, a handful of contiguous probes,
-/// and zero allocation steady-state. clear() keeps every reservation (slot
-/// array, slabs) so a worker can reuse one cache across work items — and
+/// key, longer antichains spilled into nodes of one vector, linked by
+/// index and recycled through a free list. One lookup is one hash, a
+/// handful of contiguous probes, and zero allocation steady-state. clear()
+/// keeps every reservation (slot array, node vector) so a worker can reuse
+/// one cache across work items — and
 /// the per-item clearing is what keeps the pruning (and every counter
 /// derived from it) thread-count invariant under the work-stealing
 /// executor.
@@ -49,22 +48,25 @@ class SleepCache {
   bool check_and_insert(std::uint64_t key, std::uint32_t sleep);
 
   /// Drops every entry but keeps the reserved capacity (slot array and
-  /// spill slabs) for reuse.
+  /// spill node vector) for reuse.
   void clear();
 
   /// Distinct keys stored.
   [[nodiscard]] std::size_t size() const { return used_; }
 
-  /// Bytes reserved (slot capacity + spill slabs, freelist included).
+  /// Bytes reserved (slot capacity + spill node capacity, free list
+  /// included).
   [[nodiscard]] std::size_t bytes() const;
 
   /// Bytes of live entries (occupied slots + in-chain spill nodes).
   [[nodiscard]] std::size_t live_bytes() const;
 
  private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;  ///< end of a chain
+
   struct SpillNode {
     std::uint32_t mask = 0;
-    SpillNode* next = nullptr;
+    std::uint32_t next = kNil;  ///< index into spill_
   };
 
   struct Slot {
@@ -72,7 +74,7 @@ class SleepCache {
     std::uint32_t inline_masks[2] = {0, 0};
     std::uint8_t inline_count = 0;  ///< masks are arbitrary: count, not
                                     ///< sentinel, marks the used slots
-    SpillNode* spill_head = nullptr;
+    std::uint32_t spill_head = kNil;  ///< index into spill_
   };
 
   [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;
@@ -80,8 +82,8 @@ class SleepCache {
   void insert_into(Slot& slot, std::uint64_t key, std::uint32_t sleep);
 
   std::vector<Slot> slots_;
-  SlabArena spill_arena_{1024};
-  SpillNode* spill_free_ = nullptr;
+  std::vector<SpillNode> spill_;
+  std::uint32_t spill_free_ = kNil;  ///< free list through SpillNode::next
   std::size_t spill_live_ = 0;
   std::size_t used_ = 0;
 };

@@ -59,22 +59,6 @@ MemorySnapshot RegisterFile::snapshot() const {
   return snap;
 }
 
-void RegisterFile::restore(const MemorySnapshot& snap) {
-  if (snap.size() != slots_.size()) {
-    throw std::invalid_argument(
-        "snapshot does not match register file layout");
-  }
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& s = slots_[i];
-    if (s.width < kMaxWidth && snap[i] > ((Value{1} << s.width) - 1)) {
-      throw std::invalid_argument("snapshot value does not fit register " +
-                                  s.name);
-    }
-    fp_ ^= fp_slot(i, s.value) ^ fp_slot(i, snap[i]);
-    s.value = snap[i];
-  }
-}
-
 Value RegisterFile::max_value(RegId r) const {
   const int w = slot(r).width;
   if (w >= kMaxWidth) {

@@ -10,9 +10,9 @@
 
 namespace cfc {
 
-/// A copy of every register's current value, in register-id order. Cheap to
-/// take and restore (one Value per register); the backbone of the simulator
-/// checkpoints used by the schedule-space explorer.
+/// A copy of every register's current value, in register-id order (one
+/// Value per register). Sim checkpoints and forks verify a replay against
+/// it.
 using MemorySnapshot = std::vector<Value>;
 
 /// The shared memory of a simulated system: a set of named registers, each
@@ -59,11 +59,6 @@ class RegisterFile {
   /// Copies every register's current value (O(size), no allocation beyond
   /// the returned vector).
   [[nodiscard]] MemorySnapshot snapshot() const;
-
-  /// Restores the values captured by `snapshot()`. The register layout
-  /// (count, widths) must be unchanged; throws std::invalid_argument on a
-  /// size mismatch or a value that no longer fits its register.
-  void restore(const MemorySnapshot& snap);
 
   /// 64-bit incremental hash of the current (register, value) set,
   /// maintained O(1) per mutation. Two register files with the same layout

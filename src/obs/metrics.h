@@ -15,7 +15,8 @@ namespace cfc::obs {
 /// touching the intermediate layers. Counters are monotonic sums over
 /// per-shard cells; gauges are last-write point-in-time values.
 ///
-/// X-macro: X(enumerator, "json_name", kind).
+/// X-macro: X(enumerator, "json_name", kind). slab_bytes is the bytes
+/// reserved by the explorer planner's work-item prefix vector.
 #define CFC_OBS_METRICS(X)                       \
   X(states_visited, "states_visited", Counter)   \
   X(cells_total, "cells_total", Gauge)           \

@@ -105,7 +105,7 @@ void ProgressReporter::emit() {
     std::fprintf(
         stderr,
         "[cfc] t=%.1fs cells %llu/%llu states %llu (%.0f/s) "
-        "cache-hit %.1f%% sleep-block %.1f%% visited %llu B slab %llu B "
+        "cache-hit %.1f%% sleep-block %.1f%% visited %llu B prefixes %llu B "
         "steals %llu\n",
         ms_total / 1000.0,
         static_cast<unsigned long long>(snap.value(Metric::cells_done)),

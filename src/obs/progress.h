@@ -17,7 +17,8 @@ namespace cfc::obs {
 /// human-readable to stderr, or one JSON object per line (JSONL) to a
 /// file. Reports cells done/total, cumulative states and the states/sec
 /// over the last interval, cache hit and sleep-block rates, live
-/// visited-table / slab bytes, and steals.
+/// visited-table bytes, the planner's work-item prefix bytes (the
+/// `slab_bytes` gauge), and steals.
 ///
 /// The reporter enables the global registry for its lifetime (restoring
 /// the previous state on stop), so instrumented code only pays for

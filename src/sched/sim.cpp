@@ -134,12 +134,6 @@ void Sim::ensure_started(Pid pid) {
   last_step_ = StepSummary{};
   last_step_.pid = pid;
   last_step_.started = true;
-  // Rewindable simulations route frames through the per-Sim arena (the
-  // body here, subtask frames during any resume), so the mark restore's
-  // value replay recycles them instead of hitting the heap. Ordinary
-  // simulations skip the arena: their frames never get a second life, so
-  // the global heap is the better allocator for them.
-  const FrameArena::Scope frame_scope(rewind_base_set_ ? &arena_ : nullptr);
   if (!bulk_replay_) {
     // Start units deliver no value, so they have no tape entry: a pid's
     // tape holds exactly its non-start units.
@@ -176,7 +170,6 @@ Sim::StepResult Sim::step(Pid pid) {
   if (pr.status == ProcStatus::Done || pr.status == ProcStatus::Crashed) {
     return StepResult::NotRunnable;
   }
-  const FrameArena::Scope frame_scope(rewind_base_set_ ? &arena_ : nullptr);
 
   if (pr.status == ProcStatus::NotStarted) {
     ensure_started(pid);
@@ -504,8 +497,8 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
     touched_buf_[static_cast<std::size_t>(sched_log_[i].pid)] = 1;
   }
 
-  // Reset every touched process to its pre-start state (frames recycle
-  // through the arena) and value-replay it over its own prefix units.
+  // Reset every touched process to its pre-start state (its frames are
+  // freed and re-created) and value-replay it over its own prefix units.
   for (Pid pid = 0; pid < process_count(); ++pid) {
     if (touched_buf_[static_cast<std::size_t>(pid)] == 0) {
       continue;
@@ -527,7 +520,6 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
   quiet_replay_ = true;
   bulk_replay_ = true;
   try {
-    const FrameArena::Scope frame_scope(&arena_);
     // Per-pid replay off each touched process's own value tape: the units
     // fed are exactly the ones owed, with no scan over the global schedule
     // prefix (cross-pid order is irrelevant — a value replay reads no

@@ -18,7 +18,6 @@
 #include "memory/register_file.h"
 #include "memory/types.h"
 #include "sched/event_sink.h"
-#include "sched/frame_arena.h"
 #include "sched/run.h"
 #include "sched/task.h"
 
@@ -361,8 +360,8 @@ class Sim {
 
   /// Makes this simulation rewindable: records each process's crash plan
   /// (the state a value-replayed process is reset to) and turns on the
-  /// register undo log, the per-pid value tapes and the per-Sim frame
-  /// arena that capture_mark()/rewind_to_mark() rely on. Must be called
+  /// register undo log and the per-pid value tapes that
+  /// capture_mark()/rewind_to_mark() rely on. Must be called
   /// before any unit executes (schedule log empty) — i.e. right after the
   /// static setup. A mark captured right after it is the run start: the
   /// explorer repositions each work item there.
@@ -427,11 +426,6 @@ class Sim {
   /// value-replayed (<= prefix units of touched processes; the observable
   /// state is identical to a fork() of the first mark.prefix_len units).
   std::size_t rewind_to_mark(const RewindMark& mark);
-
-  /// Allocation counters of the per-Sim coroutine frame arena.
-  [[nodiscard]] const FrameArena::Stats& frame_arena_stats() const {
-    return arena_.stats();
-  }
 
   /// True iff the next step(pid) fires the injected stopping failure
   /// instead of performing the pending access.
@@ -553,7 +547,6 @@ class Sim {
   void emit(const TraceEvent& ev);
 
   RegisterFile mem_;
-  FrameArena arena_;  // declared before procs_: frames die before the arena
   std::deque<Proc> procs_;  // deque: stable addresses for ProcessContext
   TraceRecorder recorder_;
   std::vector<EventSink*> sinks_;

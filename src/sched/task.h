@@ -6,8 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "sched/frame_arena.h"
-
 namespace cfc {
 
 /// Lazy coroutine task with continuation chaining.
@@ -21,7 +19,10 @@ namespace cfc {
 /// Task<T> composes: `co_await subtask` starts the subtask via symmetric
 /// transfer and resumes the awaiting coroutine when the subtask completes.
 /// Tasks are move-only and destroy their coroutine frame on destruction,
-/// including frames suspended mid-run (used for crash injection).
+/// including frames suspended mid-run (used for crash injection). Frames
+/// use the compiler's default allocation (global operator new): a Sim
+/// restore that value-replays a process frees its frames and allocates
+/// them again.
 template <class T>
 class Task;
 
@@ -30,17 +31,6 @@ namespace detail {
 struct PromiseBase {
   std::coroutine_handle<> continuation = std::noop_coroutine();
   std::exception_ptr exception;
-
-  /// Coroutine frames route through the frame arena (sched/frame_arena.h):
-  /// when a Sim has installed its arena for the current thread, frames are
-  /// recycled across the explorer's mark restores instead of
-  /// hitting the global heap; with no arena installed this is one
-  /// thread-local read over plain operator new.
-  static void* operator new(std::size_t size) { return frame_alloc(size); }
-  static void operator delete(void* p) noexcept { frame_free(p); }
-  static void operator delete(void* p, std::size_t) noexcept {
-    frame_free(p);
-  }
 
   struct FinalAwaiter {
     [[nodiscard]] bool await_ready() const noexcept { return false; }

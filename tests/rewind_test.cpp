@@ -1,9 +1,8 @@
 // Restore fidelity. Sim level: Sim::rewind_to_mark must reposition the
 // LIVE simulation at any mark along its own schedule log — the run-start
 // mark included — indistinguishably from Sim::fork of a checkpoint taken
-// there, across every registry algorithm, including crash injection, with
-// frame recreation served from the arena pool after warm-up. Explorer
-// level: the mark-restoring Explorer must certify exactly what a
+// there, across every registry algorithm, including crash injection.
+// Explorer level: the mark-restoring Explorer must certify exactly what a
 // from-scratch oracle finds, a plain DFS that rebuilds every child with
 // Sim::fork and uses no marks, cache or partial-order reduction.
 #include <gtest/gtest.h>
@@ -55,18 +54,6 @@ void expect_same_state(const Sim& a, const Sim& b) {
     EXPECT_EQ(a.output(p), b.output(p)) << "pid " << p;
     EXPECT_EQ(a.access_count(p), b.access_count(p)) << "pid " << p;
     EXPECT_EQ(a.process_digest(p), b.process_digest(p)) << "pid " << p;
-  }
-}
-
-/// Re-steps `units` live on `sim` (sinks, trace and invariant checks on),
-/// the way a work item re-steps its planner prefix after a base restore.
-void restep(Sim& sim, std::span<const SimCheckpoint::Unit> units) {
-  for (const SimCheckpoint::Unit& u : units) {
-    if (u.start_only) {
-      sim.ensure_started(u.pid);
-    } else {
-      sim.step(u.pid);
-    }
   }
 }
 
@@ -157,39 +144,6 @@ TEST(Rewind, RequiresBaselineAndValidMark) {
   RandomScheduler rnd2(4);
   drive(late, rnd2, RunLimits{2});
   EXPECT_THROW(late.mark_rewind_base(), std::logic_error);
-}
-
-TEST(Rewind, FrameRecreationIsServedFromThePoolAfterWarmup) {
-  const MutexFactory factory =
-      AlgorithmRegistry::instance().mutex("lamport-fast").factory;
-  const SimBuilder rebuild = mutex_builder(factory, 3, 1, {});
-  Sim live;
-  rebuild(live);
-  live.mark_rewind_base();
-  Sim::RewindMark base;
-  live.capture_mark(base);
-  RandomScheduler rnd(11);
-  drive(live, rnd, RunLimits{40});
-  const std::vector<SimCheckpoint::Unit> prefix(
-      live.schedule_log().begin(),
-      live.schedule_log().begin() +
-          static_cast<std::ptrdiff_t>(live.schedule_log().size() / 2));
-
-  // Warm-up: the base restore frees every frame, the re-step recreates
-  // them once.
-  live.rewind_to_mark(base);
-  restep(live, prefix);
-  const std::uint64_t fresh_after_first = live.frame_arena_stats().fresh;
-  ASSERT_GT(live.frame_arena_stats().reused + fresh_after_first, 0u);
-  for (int i = 0; i < 5; ++i) {
-    live.rewind_to_mark(base);
-    restep(live, prefix);
-  }
-  // Identical re-steps recreate identical frames: all of them recycled,
-  // zero fresh arena growth, zero heap fallbacks.
-  EXPECT_EQ(live.frame_arena_stats().fresh, fresh_after_first);
-  EXPECT_EQ(live.frame_arena_stats().fallback, 0u);
-  EXPECT_GT(live.frame_arena_stats().reused, 0u);
 }
 
 TEST(Rewind, RestoresPerformZeroSimConstructions) {

@@ -70,6 +70,31 @@ TEST(SleepCache, MatchesOracleOnRandomWorkload) {
   EXPECT_EQ(cache.size(), oracle.size());
 }
 
+TEST(SleepCache, MatchesOracleAcrossClear) {
+  // A worker reuses one cache across work items, clearing it in between:
+  // every round must behave like a fresh cache, with no spill node or
+  // free-list link carried over from the round before.
+  std::mt19937_64 rng(42);
+  SleepCache cache;
+  std::uniform_int_distribution<std::uint64_t> key_dist(0, 199);
+  std::uniform_int_distribution<std::uint32_t> mask_dist(0, 255);
+  for (int round = 0; round < 3; ++round) {
+    cache.clear();
+    SleepOracle oracle;
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t key = key_dist(rng) * 0x100000001b3ULL;
+      const std::uint32_t sleep = mask_dist(rng);
+      ASSERT_EQ(cache.subsumed(key, sleep), oracle.subsumed(key, sleep))
+          << "round " << round << " key " << key << " sleep " << sleep;
+      if (!cache.subsumed(key, sleep)) {
+        cache.insert(key, sleep);
+        oracle.insert(key, sleep);
+      }
+    }
+    EXPECT_EQ(cache.size(), oracle.size()) << "round " << round;
+  }
+}
+
 TEST(SleepCache, LowBitMasksAreExactlyPreemptionDominance) {
   // A Bounded search stores (1 << p) - 1 for p preemptions spent: on
   // those masks the subset rule must mean exactly "a stored visit that
@@ -171,7 +196,7 @@ TEST(SleepCache, ClearKeepsReservedCapacity) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.subsumed(0x9e3779b9ULL, 0xFF));
-  // Capacity (slot array + spill slabs) survives for reuse; live bytes
+  // Capacity (slot array + spill nodes) survives for reuse; live bytes
   // fall back to the empty slot array.
   EXPECT_EQ(cache.bytes(), reserved);
   cache.insert(123, 7);
