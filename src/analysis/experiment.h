@@ -59,10 +59,10 @@ struct MutexWcSearchResult {
   /// is unsafe — the complexity certification is then over the safe
   /// schedules only.
   std::uint64_t violations = 0;
-  /// Some run was cut off (budget/depth/preemption bound): the values may
+  /// Some run was cut off (budget or depth bound): the values may
   /// under-report anything beyond the explored space.
   bool truncated = false;
-  /// Exhaustive/Bounded only: the whole bounded schedule space was covered
+  /// Exhaustive only: the whole bounded schedule space was covered
   /// (no max_states cut) — the values are the exact maxima over it.
   bool certified = false;
 };
@@ -94,11 +94,6 @@ struct DetectorWcSearchResult {
   bool certified = false;
 };
 
-/// (The redundant seed-list overload — round-robin plus seeded randoms —
-/// was deprecated in PR 3 and removed per the ROADMAP deprecation plan.
-/// The battery shape is now a StudySpec option: Random strategy with
-/// WorstCaseSearchOptions::detector_round_robin, or fluently
-/// StudySpec::detector_battery().)
 [[nodiscard]] DetectorWcSearchResult search_detector_worst_case(
     const DetectorFactory& make, int n, const WorstCaseSearchOptions& options,
     ExperimentRunner* runner = nullptr);

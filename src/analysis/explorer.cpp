@@ -22,8 +22,6 @@ const char* name(SearchStrategy s) {
   switch (s) {
     case SearchStrategy::Exhaustive:
       return "exhaustive";
-    case SearchStrategy::Bounded:
-      return "bounded";
     case SearchStrategy::Random:
       return "random";
   }
@@ -144,7 +142,7 @@ class DfsEngine {
   [[nodiscard]] std::uint64_t sims_built() const { return sims_built_; }
 
   /// Phase 1: walks the top `horizon` levels of the tree with FULL
-  /// branching (every admitted process; under source-DPOR every enabled,
+  /// branching (every runnable process; under source-DPOR every runnable,
   /// awake one, with the measurement-aware sleep transfer), emitting one
   /// WorkItem per horizon node reached (prefix picks appended to
   /// `prefixes`).
@@ -166,7 +164,7 @@ class DfsEngine {
     horizon_ = horizon;
     prefixes_ = &prefixes;
     items_ = &items;
-    walk_from<Role::Planner>(0, /*last=*/-1, /*preempt=*/0, /*sleep=*/0);
+    walk_from<Role::Planner>(0, /*last=*/-1, /*sleep=*/0);
     // The planner's cache lives for the whole walk (it is what makes
     // horizon-level re-convergence prune whole work items), so its
     // footprint is deterministic — account it here. Worker caches are
@@ -182,10 +180,10 @@ class DfsEngine {
   /// Phase 2: executes one work item. The worker restores its Sim to the
   /// run-start mark (Sim::rewind_to_mark, the same restore every sibling
   /// backtrack uses) and re-steps the prefix live (the planner proved it
-  /// realizable and violation-free), summing the preemptions it spends.
-  /// Under source-DPOR, prefix units join the race detector's trace with
-  /// foreign-node masks. Repositioning is part of claiming the item, not a
-  /// sibling backtrack, so it counts into no restore counter.
+  /// realizable and violation-free). Under source-DPOR, prefix units join
+  /// the race detector's trace with foreign-node masks. Repositioning is
+  /// part of claiming the item, not a sibling backtrack, so it counts into
+  /// no restore counter.
   void run_item(const WorkItem& item, const std::vector<Pid>& prefixes,
                 ItemResult& out) {
     out_ = &out;
@@ -205,7 +203,6 @@ class DfsEngine {
     nodes_ = 0;
     stop_ = false;
     int depth = 0;
-    int preempt = 0;
     Pid last = -1;
     for (std::uint32_t i = 0; i < item.len; ++i) {
       const Pid p = prefixes[item.begin + i];
@@ -217,11 +214,10 @@ class DfsEngine {
       if (dpor_) {
         dpor_->push_step(depth, sim_->last_step_summary(), backtrack_);
       }
-      preempt += switch_cost(last, p);
       last = p;
       ++depth;
     }
-    walk_from<Role::Item>(depth, last, preempt, item.sleep);
+    walk_from<Role::Item>(depth, last, item.sleep);
     if (dpor_) {
       // Per-item flush of the race detector's counters (clear() resets
       // them): the deltas land in the item's own slot and merge in item
@@ -249,37 +245,23 @@ class DfsEngine {
 
   /// Dispatches the walk on the reduction policy, once per engine run.
   template <Role R>
-  void walk_from(int depth, Pid last, int preempt, std::uint32_t sleep) {
+  void walk_from(int depth, Pid last, std::uint32_t sleep) {
     if (dpor_) {
-      walk<R, true>(depth, last, preempt, sleep);
+      walk<R, true>(depth, last, sleep);
     } else {
-      walk<R, false>(depth, last, preempt, sleep);
+      walk<R, false>(depth, last, sleep);
     }
-  }
-
-  [[nodiscard]] static int switch_cost(Pid last, Pid p) {
-    return (last != -1 && p != last) ? 1 : 0;
-  }
-
-  /// The admission predicate: `p` may be picked at a node reached with
-  /// `preempt` switches spent and `last` the last pick — it is runnable,
-  /// and a switch away from `last` still fits the preemption budget.
-  [[nodiscard]] bool admits(Pid p, int preempt, Pid last) const {
-    return sim_->runnable(p) &&
-           (cfg_.limits.max_preemptions < 0 ||
-            preempt + switch_cost(last, p) <= cfg_.limits.max_preemptions);
   }
 
   [[nodiscard]] static std::uint32_t bit(Pid p) {
     return 1u << static_cast<unsigned>(p);
   }
 
-  /// The admitted processes as a mask (n <= 32). Without a preemption
-  /// bound — every source-DPOR search — these are the runnable ones.
-  [[nodiscard]] std::uint32_t enabled_mask(int preempt, Pid last) const {
+  /// The runnable processes as a mask (n <= 32).
+  [[nodiscard]] std::uint32_t enabled_mask() const {
     std::uint32_t enabled = 0;
     for (Pid p = 0; p < cfg_.nprocs; ++p) {
-      if (admits(p, preempt, last)) {
+      if (sim_->runnable(p)) {
         enabled |= bit(p);
       }
     }
@@ -336,23 +318,15 @@ class DfsEngine {
     acc_.rewind_to(acc_pool_[d]);
   }
 
-  /// Visited-cache key: state fingerprint x objective digest. Under a
-  /// preemption bound the last pid is folded in too. The sleep-set-aware
-  /// cache keeps the sleep mask as its value dimension (SleepCache
-  /// subsumption), not in the key; source-DPOR is Exhaustive-only, so
-  /// there the last-pid fold never applies.
-  [[nodiscard]] std::uint64_t state_key(Pid last) const {
+  /// Visited-cache key: state fingerprint x objective digest. The
+  /// sleep-set-aware cache keeps the sleep mask as its value dimension
+  /// (SleepCache subsumption), not in the key.
+  [[nodiscard]] std::uint64_t state_key() const {
     std::uint64_t h = state_fingerprint(*sim_);
     if (cfg_.objective.eval) {
       h = fingerprint_combine(h, cfg_.objective.digest
                                      ? cfg_.objective.digest(acc_)
                                      : acc_.digest());
-    }
-    if (cfg_.limits.max_preemptions >= 0) {
-      // Under a preemption bound the last-scheduled pid is part of the
-      // state: futures continuing it are free while switches cost budget,
-      // so merging across different `last` would prune feasible subtrees.
-      h = fingerprint_combine(h, static_cast<std::uint64_t>(last) + 1);
     }
     return h;
   }
@@ -418,10 +392,7 @@ class DfsEngine {
   /// without branching).
   void cut_point_insertions(int depth, std::uint32_t sleep) {
     capture_pendings(depth);
-    // Source-DPOR is Exhaustive-only: no preemption bound, so the
-    // admitted processes are the runnable ones.
-    dpor_->note_cut(enabled_mask(0, -1) & ~sleep, pend_at(depth),
-                    backtrack_);
+    dpor_->note_cut(enabled_mask() & ~sleep, pend_at(depth), backtrack_);
   }
 
   /// Node-entry outcome of classify_node: the leaf accounting shared by
@@ -467,11 +438,8 @@ class DfsEngine {
   /// depth and equal accumulator), and a stored value that is a subset of
   /// the current one means the stored subtree covered every behavior this
   /// visit could, so its leaves already contributed the same objective
-  /// values. The value is the sleep mask (source-DPOR: a stored visit
-  /// that slept on fewer branches explored more) or, under a preemption
-  /// bound, the low `preempt` bits (a stored visit that spent fewer
-  /// preemptions had more budget left); the two never meet, since
-  /// source-DPOR is Exhaustive-only and the unreduced sleep mask is 0.
+  /// values. The value is the sleep mask: a stored visit that slept on
+  /// fewer branches explored more (unreduced, every sleep mask is 0).
   ///
   /// The one thing a skipped subtree still owes the *current* path is its
   /// race-driven backtrack insertions (they are path-dependent): the
@@ -482,14 +450,11 @@ class DfsEngine {
   /// is already a planner branch, and the planner's own backtrack masks
   /// are never consulted.
   template <Role R, bool Reduce>
-  [[nodiscard]] bool seen(int depth, Pid last, int preempt,
-                          std::uint32_t sleep) {
+  [[nodiscard]] bool seen(int depth, std::uint32_t sleep) {
     if (!cfg_.limits.prune_visited) {
       return false;
     }
-    const std::uint32_t spent =
-        cfg_.limits.max_preemptions < 0 ? 0u : (1u << preempt) - 1u;
-    if (!scache_.check_and_insert(state_key(last), sleep | spent)) {
+    if (!scache_.check_and_insert(state_key(), sleep)) {
       return false;
     }
     ++out_->stats.pruned_visited;
@@ -499,29 +464,28 @@ class DfsEngine {
     return true;
   }
 
-  /// The DFS behind both entry points. A node is its depth, the last pick,
-  /// the preemptions spent on the path (only a Bounded search spends any)
+  /// The DFS behind both entry points. A node is its depth, the last pick
   /// and its sleep mask (source-DPOR: explored or covered branches whose
   /// reorderings need no exploring here; always 0 unreduced).
   ///
   /// Per node: the planner emits a work item at the horizon; otherwise
   /// classify_node, the visited check, then the branch set (see Role) out
-  /// of the admitted processes — a node with runnable processes but none
-  /// admitted is a truncated leaf of the bounded space. Branches run
-  /// continue-last-pid-first; each explored (or excluded-violating) branch
-  /// joins the node's local sleep mask, which doubles as its explored mask.
+  /// of the runnable processes (classify_node saw at least one). Branches
+  /// run continue-last-pid-first; each explored (or excluded-violating)
+  /// branch joins the node's local sleep mask, which doubles as its
+  /// explored mask.
   /// Under source-DPOR a child keeps asleep every sleeper whose captured
   /// next step is independent of the unit just taken (the
   /// measurement-aware sleep transfer); unreduced, a child starts awake.
   template <Role R, bool Reduce>
-  void walk(int depth, Pid last, int preempt, std::uint32_t sleep) {
+  void walk(int depth, Pid last, std::uint32_t sleep) {
     if constexpr (R == Role::Planner) {
       if (depth == horizon_) {
         // Stateful pruning across work items: an equal horizon state
         // already emitted under a covering cache value covers this one.
         // The horizon node itself belongs to the work item (the worker's
         // walk classifies it), keeping node accounting disjoint.
-        if (!seen<R, Reduce>(depth, last, preempt, sleep)) {
+        if (!seen<R, Reduce>(depth, sleep)) {
           emit_item(sleep);
         }
         return;
@@ -534,7 +498,7 @@ class DfsEngine {
         // insertions to protect.
         return;
       case NodeEntry::DepthCut:
-        // Bounded-search soundness (SourceDpor::note_cut): the units
+        // Depth-bound soundness (SourceDpor::note_cut): the units
         // beyond the horizon never execute, so their races never seed the
         // reorderings that run the cut-off processes earlier. Insert each
         // enabled process's captured pending unit at its placement
@@ -548,18 +512,12 @@ class DfsEngine {
       case NodeEntry::Interior:
         break;
     }
-    if (seen<R, Reduce>(depth, last, preempt, sleep)) {
+    if (seen<R, Reduce>(depth, sleep)) {
       return;
     }
 
     const auto d = static_cast<std::size_t>(depth);
-    const std::uint32_t enabled = enabled_mask(preempt, last);
-    if (enabled == 0) {
-      // Runnable processes exist but every switch is over the preemption
-      // budget: the bounded space ends here.
-      leaf_truncated();
-      return;
-    }
+    const std::uint32_t enabled = enabled_mask();
     if constexpr (Reduce) {
       out_->stats.sleep_blocked +=
           static_cast<std::uint64_t>(std::popcount(enabled & sleep));
@@ -623,8 +581,7 @@ class DfsEngine {
         if constexpr (R == Role::Planner) {
           path_.push_back(p);
         }
-        walk<R, Reduce>(depth + 1, p, preempt + switch_cost(last, p),
-                        child_sleep);
+        walk<R, Reduce>(depth + 1, p, child_sleep);
         if constexpr (R == Role::Planner) {
           path_.pop_back();
         }
@@ -721,40 +678,18 @@ Explorer::Explorer(Config cfg) : cfg_(std::move(cfg)) {
   if (cfg_.limits.max_depth < 0) {
     throw std::invalid_argument("Explorer: limits.max_depth must be >= 0");
   }
-  if (cfg_.strategy == SearchStrategy::Exhaustive) {
-    // Exhaustive means every interleaving within the depth bound: a
-    // preemption limit left over from a Bounded configuration must not
-    // silently shrink the certified space.
-    cfg_.limits.max_preemptions = -1;
-  }
-  if (cfg_.strategy == SearchStrategy::Bounded &&
-      cfg_.limits.max_preemptions < 0) {
-    // Without a preemption bound, "Bounded" would silently run the full
-    // exhaustive DFS — exponentially more states than the caller asked for.
-    throw std::invalid_argument(
-        "Explorer: Bounded strategy requires limits.max_preemptions >= 0");
-  }
   if (cfg_.limits.reduction == ReductionPolicy::SourceDpor &&
       cfg_.strategy != SearchStrategy::Exhaustive) {
-    // Under a preemption budget a sleeping branch's covering reordering
-    // may itself be out of budget, so the reduction would cut feasible
-    // space; restrict it to the strategy it is defined for.
+    // The reduction prunes a DFS; a sampled schedule has nothing to prune.
     throw std::invalid_argument(
         "Explorer: partial-order reduction requires the Exhaustive "
         "strategy");
   }
-  if (cfg_.strategy != SearchStrategy::Random) {
-    // The DFS keeps per-node process masks (branch sets, sleep sets) and
-    // stores the preemptions a visit spent as a low-bit mask in its cache.
-    if (cfg_.nprocs > kMaxPorProcs) {
-      throw std::invalid_argument(
-          "Explorer: Exhaustive and Bounded searches support at most 32 "
-          "processes");
-    }
-    if (cfg_.limits.max_preemptions > 31) {
-      throw std::invalid_argument(
-          "Explorer: Bounded strategy supports at most 31 preemptions");
-    }
+  if (cfg_.strategy == SearchStrategy::Exhaustive &&
+      cfg_.nprocs > kMaxPorProcs) {
+    // The DFS keeps per-node process masks (branch sets, sleep sets).
+    throw std::invalid_argument(
+        "Explorer: Exhaustive searches support at most 32 processes");
   }
 }
 

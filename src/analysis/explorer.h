@@ -21,10 +21,6 @@ enum class SearchStrategy : std::uint8_t {
   /// Every interleaving within the depth bound — a *certified* bound over
   /// all schedules of at most max_depth picks (hashed-state fidelity).
   Exhaustive,
-  /// Every interleaving with at most max_preemptions context switches
-  /// (systematic concurrency testing's preemption-bounded search): far
-  /// cheaper, and empirically the schedules that expose races.
-  Bounded,
   /// Seeded random schedules — the legacy sampler. A lower bound only.
   Random,
 };
@@ -36,10 +32,10 @@ enum class SearchStrategy : std::uint8_t {
 /// schedules whose values are provably duplicated by an explored one —
 /// which the POR differential suite asserts for every registry algorithm.
 enum class ReductionPolicy : std::uint8_t {
-  /// No reduction: every interleaving within the bounds (the unreduced
-  /// reference search; the only policy the Bounded strategy accepts). The
-  /// same planner/work-item walk as SourceDpor, minus the sleep transfer,
-  /// the race detector and the cut-point insertions.
+  /// No reduction: every interleaving within the depth bound (the
+  /// unreduced reference search). The same planner/work-item walk as
+  /// SourceDpor, minus the sleep transfer, the race detector and the
+  /// cut-point insertions.
   Off,
   /// Source-DPOR (por/source_dpor.h): full sleep sets under the
   /// measurement-aware dependence relation (por/dependence.h — register
@@ -63,18 +59,15 @@ enum class ReductionPolicy : std::uint8_t {
 struct ExploreLimits {
   /// Scheduler picks per path (depth of the interleaving tree); >= 0.
   int max_depth = 48;
-  /// Context switches per path; -1 = unlimited (Exhaustive).
-  int max_preemptions = -1;
   /// DFS node budget *per engine run* — per planner walk and per work
   /// item; 0 = unlimited. Exceeding it cuts the search (result no longer
   /// certified; ExploreStats::truncated).
   std::uint64_t max_states = 0;
   /// Visited-state pruning (on by default) on the SleepCache: one cache
   /// for the planner's whole walk, and one per work item. Keys combine
-  /// core/state_fingerprint with the objective digest (and, under a
-  /// preemption bound, the last pick); a stored visit covers a revisit
-  /// that sleeps on a superset of its branches (SourceDpor: stateful
-  /// DPOR) or has spent at least as many preemptions (Bounded).
+  /// core/state_fingerprint with the objective digest; a stored visit
+  /// covers a revisit that sleeps on a superset of its branches (under
+  /// SourceDpor: stateful DPOR; unreduced, every sleep mask is 0).
   bool prune_visited = true;
   /// The partial-order reduction applied to Exhaustive searches (src/por/;
   /// see ReductionPolicy). Off by default at this layer; the Study layer
@@ -116,7 +109,7 @@ struct ExploreLimits {
 struct ExploreStats {
   std::uint64_t states_visited = 0;  ///< DFS nodes entered (planner + items)
   std::uint64_t runs_completed = 0;  ///< leaves with no runnable process
-  std::uint64_t runs_truncated = 0;  ///< leaves cut by depth/preemption/state budget
+  std::uint64_t runs_truncated = 0;  ///< leaves cut by depth or state budget
   std::uint64_t pruned_visited = 0;  ///< subtrees skipped by the state cache
   std::uint64_t violations = 0;      ///< MutualExclusionViolations found
   /// --- Reduction counters (zero when reduction == Off). ---
@@ -206,7 +199,7 @@ struct ExploreObjective {
 /// branches continue-last-pid-first so the restore-free first descent
 /// walks the preemption-free spine. One recursive walk serves the planner
 /// and the work items under both reduction policies; they differ only in
-/// the branch set (every admitted process / every enabled, awake process
+/// the branch set (every runnable process / every runnable, awake process
 /// / one seed grown by race insertions), and one SleepCache serves them
 /// all. Coroutine frames cannot be copied, so every
 /// branching node captures a Sim::RewindMark (undo-log length + per-process
@@ -240,7 +233,7 @@ class Explorer {
     int nprocs = 0;             ///< processes the setup spawns
     SetupFn setup;              ///< registers + processes + sim config
     SearchStrategy strategy = SearchStrategy::Exhaustive;
-    ExploreLimits limits;       ///< DFS budgets (Exhaustive/Bounded)
+    ExploreLimits limits;       ///< DFS budgets (Exhaustive)
     std::vector<std::uint64_t> seeds;  ///< Random: one run per seed
     std::uint64_t random_budget = 200'000;  ///< Random: steps per run
     ExploreObjective objective;
@@ -255,9 +248,8 @@ class Explorer {
   };
 
   /// Throws std::invalid_argument on an invalid configuration. Exhaustive
-  /// and Bounded searches keep per-process bitmasks, so they take at most
-  /// 32 processes, and a Bounded one at most 31 preemptions; Random takes
-  /// any process count.
+  /// searches keep per-process bitmasks, so they take at most 32
+  /// processes; Random takes any process count.
   explicit Explorer(Config cfg);
 
   /// Runs the exploration. `runner == nullptr` uses the shared pool.
@@ -265,7 +257,7 @@ class Explorer {
 
  private:
   [[nodiscard]] Result run_random_strategy(ExperimentRunner* runner) const;
-  /// Every Exhaustive and Bounded search: a sequential planner fans the
+  /// Every Exhaustive search: a sequential planner fans the
   /// top f levels into self-contained work items, executed by a
   /// work-stealing worker pool; results merge in item index order, so
   /// everything except steals/sims_built is bit-identical at every thread

@@ -103,11 +103,6 @@ StudySpec& StudySpec::reduction(ReductionPolicy policy) {
   return *this;
 }
 
-StudySpec& StudySpec::detector_battery() {
-  search.detector_round_robin = true;
-  return *this;
-}
-
 StudySpec& StudySpec::seeds(std::vector<std::uint64_t> s) {
   search.seeds = std::move(s);
   return *this;
@@ -364,23 +359,22 @@ class MutexWcTask final : public MeasureTask {
   Explorer::Result result_;
 };
 
-}  // namespace
-
-namespace detail {
-
+/// One solo run of process `solo` of an n-process detector, measured
+/// streaming: the max whole-run complexity over all processes, `truncated`
+/// set on budget exhaustion. Verifies that the solo process outputs 1
+/// (throws std::logic_error on a broken detector).
 ComplexityReport run_detector_cell(const DetectorFactory& make, int n,
-                                   Scheduler& sched,
-                                   std::optional<Pid> expect_solo_winner) {
+                                   Pid solo) {
   Sim sim;
   sim.set_trace_recording(false);
   MeasureAccumulator acc(n);
   sim.add_sink(acc);
   auto det = setup_detection(sim, make, n);
+  SoloScheduler sched(solo);
   if (drive(sim, sched) == RunOutcome::BudgetExhausted) {
     acc.mark_truncated();  // surfaced as ComplexityReport::truncated
   }
-  if (expect_solo_winner.has_value() &&
-      sim.output(*expect_solo_winner) != 1) {
+  if (sim.output(solo) != 1) {
     throw std::logic_error(
         "solo detector process did not output 1 (broken detector)");
   }
@@ -390,10 +384,6 @@ ComplexityReport run_detector_cell(const DetectorFactory& make, int n,
   }
   return best;
 }
-
-}  // namespace detail
-
-namespace {
 
 /// Detector contention-free measurement: one solo run per process.
 class DetectorCfTask final : public MeasureTask {
@@ -407,10 +397,8 @@ class DetectorCfTask final : public MeasureTask {
   }
 
   void measure_cell(std::size_t i, ExperimentRunner&) override {
-    const Pid pid = static_cast<Pid>(i);
-    SoloScheduler solo(pid);
-    cells_[i] = detail::run_detector_cell(
-        make_, static_cast<int>(cells_.size()), solo, pid);
+    cells_[i] = run_detector_cell(make_, static_cast<int>(cells_.size()),
+                                  static_cast<Pid>(i));
   }
 
   void reduce() override {
@@ -468,14 +456,6 @@ class DetectorWcTask final : public MeasureTask {
     // covers the totals) is the sound pruning key, so leave it unset.
     const Explorer explorer(std::move(cfg));
     result_ = explorer.run(&runner);
-    if (options_.detector_round_robin &&
-        options_.strategy == SearchStrategy::Random) {
-      // The historical battery's deterministic round-robin schedule,
-      // folded into the spec (StudySpec::detector_battery).
-      RoundRobinScheduler rr;
-      round_robin_ = detail::run_detector_cell(make_, n_, rr, std::nullopt);
-      ran_round_robin_ = true;
-    }
   }
 
   void reduce() override {}
@@ -486,11 +466,6 @@ class DetectorWcTask final : public MeasureTask {
       out.wc = result_.best[0];
     }
     fill_search_stats(out, result_, options_);
-    if (ran_round_robin_) {
-      out.wc = out.wc.max_with(round_robin_);
-      out.schedules_tried += 1;
-      out.truncated = out.truncated || round_robin_.truncated;
-    }
   }
 
  private:
@@ -498,8 +473,6 @@ class DetectorWcTask final : public MeasureTask {
   int n_;
   WorstCaseSearchOptions options_;
   Explorer::Result result_;
-  ComplexityReport round_robin_;
-  bool ran_round_robin_ = false;
 };
 
 /// Naming measurement battery. Cell 0 is the sequential (contention-free)
@@ -696,11 +669,9 @@ std::string search_key(const WorstCaseSearchOptions& o) {
   return std::string(name(o.strategy)) + "|seeds=" + seeds_key(o.seeds) +
          "|budget=" + std::to_string(o.budget_per_run) +
          "|depth=" + std::to_string(o.limits.max_depth) +
-         "|preempt=" + std::to_string(o.limits.max_preemptions) +
          "|states=" + std::to_string(o.limits.max_states) +
          "|prune=" + std::to_string(o.limits.prune_visited ? 1 : 0) +
          "|reduction=" + name(o.limits.reduction) +
-         "|rr=" + std::to_string(o.detector_round_robin ? 1 : 0) +
          "|crash=" + seeds_key(o.crash_after);
 }
 
@@ -1129,9 +1100,6 @@ StudyKind kind_from(const std::string& s) {
 SearchStrategy strategy_from(const std::string& s) {
   if (s == "exhaustive") {
     return SearchStrategy::Exhaustive;
-  }
-  if (s == "bounded") {
-    return SearchStrategy::Bounded;
   }
   if (s == "random") {
     return SearchStrategy::Random;

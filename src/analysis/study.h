@@ -2,7 +2,6 @@
 #define CFC_ANALYSIS_STUDY_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,7 +35,7 @@ enum class StudyKind : std::uint8_t { Mutex, Naming, Detector };
 [[nodiscard]] const char* name(StudyKind k);
 
 /// How to search for worst cases: the strategy plus its budgets. The
-/// Exhaustive/Bounded strategies run the schedule-space Explorer (DFS with
+/// Exhaustive strategy runs the schedule-space Explorer (DFS with
 /// mark-based backtracking and visited-state pruning); Random is the
 /// legacy seeded sampler. (Naming studies instead run the fixed adversary
 /// battery — sequential, round-robin, the Theorem 6 lockstep adversary —
@@ -46,15 +45,9 @@ struct WorstCaseSearchOptions {
   /// Random: one run per seed, each `budget_per_run` picks long.
   std::vector<std::uint64_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8};
   std::uint64_t budget_per_run = 200'000;
-  /// Exhaustive/Bounded: the DFS budgets (including limits.reduction, the
-  /// partial-order-reduction policy). Bounded additionally requires
-  /// limits.max_preemptions >= 0 (Exhaustive ignores it).
+  /// Exhaustive: the DFS budgets (including limits.reduction, the
+  /// partial-order-reduction policy).
   ExploreLimits limits;
-  /// Detector studies under the Random strategy: additionally run the
-  /// deterministic round-robin schedule as part of the battery (the
-  /// historical search_detector_worst_case seeds-overload semantics,
-  /// folded into the spec). Ignored by other kinds and strategies.
-  bool detector_round_robin = false;
   /// Crash injection, applied after the subject's setup: process p crashes
   /// at its crash_after[p]-th access attempt (Sim::crash_after). An empty
   /// vector injects nothing; entries past n-1 are ignored by the sim.
@@ -123,9 +116,6 @@ struct StudySpec {
   StudySpec& worst_case(const WorstCaseSearchOptions& options);
   /// The partial-order-reduction policy of the DFS strategies.
   StudySpec& reduction(ReductionPolicy policy);
-  /// Detector + Random only: include the round-robin schedule in the
-  /// battery (the legacy detector worst-case battery shape).
-  StudySpec& detector_battery();
   StudySpec& seeds(std::vector<std::uint64_t> s);
   /// Crash injection for the worst-case search (per-pid access thresholds;
   /// see WorstCaseSearchOptions::crash_after).
@@ -221,10 +211,10 @@ struct StudyResult {
   /// is unsafe — the complexity certification is then over the safe
   /// schedules only.
   std::uint64_t violations = 0;
-  /// Some run was cut off (budget/depth/preemption bound): the values may
+  /// Some run was cut off (budget or depth bound): the values may
   /// under-report anything beyond the explored space.
   bool truncated = false;
-  /// Exhaustive/Bounded only: the whole bounded schedule space was covered
+  /// Exhaustive only: the whole bounded schedule space was covered
   /// (no max_states cut) — the values are the exact maxima over it.
   bool certified = false;
   /// The parallel frontier split was clamped below the requested depth by
@@ -314,20 +304,6 @@ struct StudyJsonOptions {
 /// emits). Throws std::invalid_argument on malformed input. wall_ms parses
 /// to 0.0 when absent.
 [[nodiscard]] StudyResult study_from_json(const std::string& json);
-
-namespace detail {
-
-/// Internal: one detector run under `sched`, measured streaming — the max
-/// whole-run complexity over all processes, `truncated` set on budget
-/// exhaustion. The single definition shared by the Study engine's detector
-/// tasks and the legacy fixed-schedule battery in experiment.cpp.
-/// `expect_solo_winner` additionally verifies the solo process's output
-/// (throws std::logic_error on a broken detector).
-[[nodiscard]] ComplexityReport run_detector_cell(
-    const DetectorFactory& make, int n, Scheduler& sched,
-    std::optional<Pid> expect_solo_winner);
-
-}  // namespace detail
 
 }  // namespace cfc
 

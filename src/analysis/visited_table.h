@@ -11,27 +11,25 @@ namespace cfc {
 ///
 /// Maps a state key (state fingerprint x objective digest — the mask is
 /// NOT folded into the key) to the antichain of masks the state was
-/// already explored under. The subsumption rule: a stored visit with mask
-/// S covers a new visit with mask S' iff S is a subset of S'. Under
-/// *stateful* source-DPOR the mask is the sleep set — the stored subtree
-/// explored every branch outside S, a superset of the branches outside S',
-/// and leaf objectives are monotone, so every value the new visit could
-/// certify was already merged by the stored one. Under a preemption bound
-/// the mask is (1 << p) - 1 for p preemptions spent, where the subset rule
-/// is exactly p' <= p: the stored visit had at least as much budget left.
-/// Depth needs no explicit dimension: process digests fold the full
-/// per-process unit history, so equal fingerprints imply equal schedule
-/// length (equal remaining depth budget) automatically.
+/// already explored under. The mask is the visit's sleep set (always 0 in
+/// an unreduced search). The subsumption rule: a stored visit with sleep
+/// set S covers a new visit with sleep set S' iff S is a subset of S' —
+/// under *stateful* source-DPOR the stored subtree explored every branch
+/// outside S, a superset of the branches outside S', and leaf objectives
+/// are monotone, so every value the new visit could certify was already
+/// merged by the stored one. Depth needs no explicit dimension: process
+/// digests fold the full per-process unit history, so equal fingerprints
+/// imply equal schedule length (equal remaining depth budget)
+/// automatically.
 ///
 /// Open addressing over a power-of-two slot array, two inline masks per
 /// key, longer antichains spilled into nodes of one vector, linked by
 /// index and recycled through a free list. One lookup is one hash, a
 /// handful of contiguous probes, and zero allocation steady-state. clear()
 /// keeps every reservation (slot array, node vector) so a worker can reuse
-/// one cache across work items — and
-/// the per-item clearing is what keeps the pruning (and every counter
-/// derived from it) thread-count invariant under the work-stealing
-/// executor.
+/// one cache across work items — and the per-item clearing is what keeps
+/// the pruning (and every counter derived from it) thread-count invariant
+/// under the work-stealing executor.
 class SleepCache {
  public:
   SleepCache() = default;

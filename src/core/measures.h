@@ -36,7 +36,7 @@ struct ComplexityReport {
   int write_registers = 0;
   int atomicity = 0;
   /// True when the run(s) behind this report were cut off before completing
-  /// (RunOutcome::BudgetExhausted, or an explorer depth/preemption bound):
+  /// (RunOutcome::BudgetExhausted, or an explorer depth or state budget):
   /// the values are a lower bound on what an uncut run would have measured.
   /// Propagates through max_with/plus as logical OR.
   bool truncated = false;

@@ -109,25 +109,6 @@ TEST(Explorer, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.certified, b.certified);
 }
 
-// Bounded (preemption-limited) exploration covers a subset of the
-// exhaustive space, so its maxima are sandwiched between the contention-free
-// values and the exhaustive maxima.
-TEST(Explorer, BoundedIsSandwichedBetweenCfAndExhaustive) {
-  WorstCaseSearchOptions bounded = exhaustive_opts(16);
-  bounded.strategy = SearchStrategy::Bounded;
-  bounded.limits.max_preemptions = 2;
-  const MutexWcSearchResult b =
-      search_mutex_worst_case(Peterson::factory(), 2, 1, bounded);
-  const MutexWcSearchResult ex =
-      search_mutex_worst_case(Peterson::factory(), 2, 1, exhaustive_opts(16));
-  EXPECT_LE(b.entry.steps, ex.entry.steps);
-  EXPECT_LE(b.entry.registers, ex.entry.registers);
-  // With >= 1 preemption available, the solo session (cf entry = 3 steps)
-  // is in the bounded space.
-  EXPECT_GE(b.entry.steps, 3);
-  EXPECT_LT(b.states_visited, ex.states_visited);
-}
-
 TEST(Explorer, FindsMutualExclusionViolationInBrokenLock) {
   class NoMutex final : public MutexAlgorithm {
    public:
@@ -230,55 +211,6 @@ TEST(Explorer, TruncationIsSurfacedInReports) {
   EXPECT_FALSE(full.entry.truncated);
 }
 
-TEST(Explorer, BoundedPruningPreservesValues) {
-  // Under a preemption bound the visited key must include the last-running
-  // pid: merging states with different `last` would prune subtrees whose
-  // continuations are still in budget. Pruned and unpruned bounded searches
-  // must certify identical values.
-  WorstCaseSearchOptions pruned;
-  pruned.strategy = SearchStrategy::Bounded;
-  pruned.limits.max_depth = 14;
-  pruned.limits.max_preemptions = 1;
-  WorstCaseSearchOptions unpruned = pruned;
-  unpruned.limits.prune_visited = false;
-  const MutexWcSearchResult a =
-      search_mutex_worst_case(Peterson::factory(), 2, 1, pruned);
-  const MutexWcSearchResult b =
-      search_mutex_worst_case(Peterson::factory(), 2, 1, unpruned);
-  EXPECT_EQ(a.entry.steps, b.entry.steps);
-  EXPECT_EQ(a.entry.registers, b.entry.registers);
-  EXPECT_EQ(a.exit.steps, b.exit.steps);
-  EXPECT_EQ(a.truncated, b.truncated);
-}
-
-TEST(Explorer, BoundedMarksPreemptionStarvedLeavesInsideFrontier) {
-  // max_preemptions=0 admits only solo runs; once the solo process
-  // finishes (within the frontier prefix) the other is runnable but every
-  // switch is over budget — the bounded space was cut, and the result must
-  // say so instead of claiming an un-truncated certification.
-  WorstCaseSearchOptions o;
-  o.strategy = SearchStrategy::Bounded;
-  o.limits.max_depth = 12;
-  o.limits.max_preemptions = 0;
-  const MutexWcSearchResult r =
-      search_mutex_worst_case(TasLock::factory(), 2, 1, o);
-  EXPECT_TRUE(r.truncated);
-  EXPECT_EQ(r.entry.steps, 1);  // the solo clean entry is still found
-}
-
-TEST(Explorer, ExhaustiveIgnoresLeftoverPreemptionLimit) {
-  // Reusing a Bounded limits struct with strategy=Exhaustive must not
-  // silently shrink the certified space.
-  WorstCaseSearchOptions leftover = exhaustive_opts(16);
-  leftover.limits.max_preemptions = 0;
-  const MutexWcSearchResult a =
-      search_mutex_worst_case(Peterson::factory(), 2, 1, leftover);
-  const MutexWcSearchResult b =
-      search_mutex_worst_case(Peterson::factory(), 2, 1, exhaustive_opts(16));
-  EXPECT_EQ(a.entry.steps, b.entry.steps);
-  EXPECT_EQ(a.states_visited, b.states_visited);
-}
-
 // The exact traversal of every search configuration the explorer offers,
 // pinned counter by counter: a refactor of the DFS must keep each search
 // walking the same tree in the same order, not just certify the same
@@ -290,8 +222,6 @@ struct TraversalPin {
   const char* subject;
   int n;
   bool crash;  ///< crash_after(1, 2)
-  SearchStrategy strategy;
-  int max_preemptions;
   ReductionPolicy reduction;
   bool prune;
   std::array<std::uint64_t, 12> counters;
@@ -313,9 +243,8 @@ Explorer::Config pinned_config(const TraversalPin& pin) {
   const bool crash = pin.crash;
   Explorer::Config cfg;
   cfg.nprocs = n;
-  cfg.strategy = pin.strategy;
+  cfg.strategy = SearchStrategy::Exhaustive;
   cfg.limits.max_depth = 12;
-  cfg.limits.max_preemptions = pin.max_preemptions;
   cfg.limits.reduction = pin.reduction;
   cfg.limits.prune_visited = pin.prune;
   cfg.setup = [factory, n, crash](Sim& sim) -> std::shared_ptr<void> {
@@ -341,7 +270,6 @@ Explorer::Config pinned_config(const TraversalPin& pin) {
 }
 
 TEST(Explorer, PinsTheTraversalOfEverySearchConfiguration) {
-  using enum SearchStrategy;
   constexpr ReductionPolicy kOff = ReductionPolicy::Off;
   constexpr ReductionPolicy kDpor = ReductionPolicy::SourceDpor;
   // counters: states_visited, runs_completed, runs_truncated,
@@ -350,31 +278,22 @@ TEST(Explorer, PinsTheTraversalOfEverySearchConfiguration) {
   // work_items.
   const TraversalPin pins[] = {
       // peterson-tree n=3 d12.
-      {"off, pruning off", "peterson-tree", 3, false, Exhaustive, -1, kOff,
-       false,
+      {"off, pruning off", "peterson-tree", 3, false, kOff, false,
        {796366, 0, 530712, 0, 0, 0, 0, 0, 530711, 265654, 3282950, 81}},
-      {"off, pruning on", "peterson-tree", 3, false, Exhaustive, -1, kOff, true,
+      {"off, pruning on", "peterson-tree", 3, false, kOff, true,
        {9122, 0, 3220, 2847, 0, 0, 0, 0, 6066, 3067, 35325, 18}},
-      {"off, bounded p=1", "peterson-tree", 3, false, Bounded, 1, kOff, true,
-       {394, 0, 54, 0, 0, 0, 0, 0, 53, 28, 132, 21}},
-      {"source-dpor, stateless", "peterson-tree", 3, false, Exhaustive, -1,
-       kDpor, false,
+      {"source-dpor, stateless", "peterson-tree", 3, false, kDpor, false,
        {15188, 0, 7625, 0, 0, 6097, 8869, 1911, 7624, 7563, 43113, 77}},
-      {"source-dpor, stateful", "peterson-tree", 3, false, Exhaustive, -1,
-       kDpor, true,
+      {"source-dpor, stateful", "peterson-tree", 3, false, kDpor, true,
        {4397, 0, 1952, 364, 0, 1773, 2559, 367, 2315, 2093, 12984, 18}},
       // lamport-fast n=2 d12 with crash_after(1, 2).
-      {"off, pruning off", "lamport-fast", 2, true, Exhaustive, -1, kOff, false,
+      {"off, pruning off", "lamport-fast", 2, true, kOff, false,
        {820, 95, 94, 0, 0, 0, 0, 0, 188, 188, 1669, 15}},
-      {"off, pruning on", "lamport-fast", 2, true, Exhaustive, -1, kOff, true,
+      {"off, pruning on", "lamport-fast", 2, true, kOff, true,
        {155, 8, 9, 39, 0, 0, 0, 0, 55, 55, 434, 5}},
-      {"off, bounded p=1", "lamport-fast", 2, true, Bounded, 1, kOff, true,
-       {60, 2, 9, 0, 0, 0, 0, 0, 10, 10, 40, 7}},
-      {"source-dpor, stateless", "lamport-fast", 2, true, Exhaustive, -1,
-       kDpor, false,
+      {"source-dpor, stateless", "lamport-fast", 2, true, kDpor, false,
        {224, 14, 15, 0, 0, 52, 42, 31, 54, 168, 404, 15}},
-      {"source-dpor, stateful", "lamport-fast", 2, true, Exhaustive, -1,
-       kDpor, true,
+      {"source-dpor, stateful", "lamport-fast", 2, true, kDpor, true,
        {122, 5, 9, 24, 0, 25, 29, 1, 37, 85, 271, 5}},
   };
   for (const TraversalPin& pin : pins) {
@@ -400,28 +319,12 @@ TEST(Explorer, ConstructorRejectsInvalidConfigurations) {
   const Case cases[] = {
       {"no processes", [](Explorer::Config& c) { c.nprocs = 0; }},
       {"no setup", [](Explorer::Config& c) { c.setup = nullptr; }},
-      {"bounded without a preemption bound",
-       [](Explorer::Config& c) {
-         c.strategy = SearchStrategy::Bounded;
-         c.limits.max_preemptions = -1;
-       }},
       {"source-dpor, 33 processes",
        [](Explorer::Config& c) {
          c.limits.reduction = ReductionPolicy::SourceDpor;
          c.nprocs = 33;
        }},
       {"off, 33 processes", [](Explorer::Config& c) { c.nprocs = 33; }},
-      {"bounded, 33 processes",
-       [](Explorer::Config& c) {
-         c.strategy = SearchStrategy::Bounded;
-         c.limits.max_preemptions = 1;
-         c.nprocs = 33;
-       }},
-      {"bounded, max_preemptions 32",
-       [](Explorer::Config& c) {
-         c.strategy = SearchStrategy::Bounded;
-         c.limits.max_preemptions = 32;
-       }},
       {"off, depth -1", [](Explorer::Config& c) { c.limits.max_depth = -1; }},
       {"off, depth -2", [](Explorer::Config& c) { c.limits.max_depth = -2; }},
       {"source-dpor, depth -1",

@@ -394,26 +394,20 @@ TEST(PorStudyJson, DetectorByteIdenticalAcrossThreadCounts) {
 
 TEST(PorStudyJson, UnreducedByteIdenticalAcrossThreadCounts) {
   // The unreduced search runs on the same planner and work-stealing pool:
-  // its Exhaustive and Bounded payloads obey the same contract.
+  // its payloads obey the same contract.
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(2)) {
-    for (const bool bounded : {false, true}) {
-      ExploreLimits limits;
-      limits.max_depth = 12;
-      limits.max_preemptions = bounded ? 2 : -1;
-      const StudySpec spec =
-          StudySpec::of(e->info.name)
-              .kind(StudyKind::Mutex)
-              .n(2)
-              .worst_case(bounded ? SearchStrategy::Bounded
-                                  : SearchStrategy::Exhaustive)
-              .limits(limits)
-              .reduction(ReductionPolicy::Off);
-      const std::string what =
-          e->info.name + (bounded ? " off bounded" : " off exhaustive");
-      SCOPED_TRACE(what);
-      expect_json_thread_invariant(spec, what, ReductionPolicy::Off);
-    }
+    ExploreLimits limits;
+    limits.max_depth = 12;
+    const StudySpec spec = StudySpec::of(e->info.name)
+                               .kind(StudyKind::Mutex)
+                               .n(2)
+                               .worst_case(SearchStrategy::Exhaustive)
+                               .limits(limits)
+                               .reduction(ReductionPolicy::Off);
+    const std::string what = e->info.name + " off exhaustive";
+    SCOPED_TRACE(what);
+    expect_json_thread_invariant(spec, what, ReductionPolicy::Off);
   }
 }
 
@@ -566,8 +560,8 @@ TEST(PorStudyJson, ByteIdenticalWithObservabilityOn) {
 TEST(PorPolicy, RequiresExhaustiveStrategy) {
   Explorer::Config cfg;
   cfg.nprocs = 2;
-  cfg.strategy = SearchStrategy::Bounded;
-  cfg.limits.max_preemptions = 1;
+  cfg.strategy = SearchStrategy::Random;
+  cfg.seeds = {1};
   cfg.limits.reduction = ReductionPolicy::SourceDpor;
   cfg.setup = [](Sim& sim) -> std::shared_ptr<void> {
     return setup_mutex(

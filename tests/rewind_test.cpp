@@ -357,14 +357,10 @@ void expect_same_report(const ComplexityReport& a, const ComplexityReport& b) {
 /// pick up to `max_depth`, where every child is a fresh Sim::fork of its
 /// parent's schedule (setup + full replay) carrying a copy of the parent's
 /// accumulator. No marks, no rewind, no visited cache, no reduction: it
-/// shares only the simulator and the objective with the Explorer. A
-/// `max_preemptions` >= 0 bounds the switches away from the last-running
-/// pid along a path, counted the way the Bounded strategy counts them; a
-/// node whose every runnable pick is over the bound is a truncated leaf.
+/// shares only the simulator and the objective with the Explorer.
 class ForkOracle {
  public:
-  ForkOracle(const Explorer::Config& cfg, int max_preemptions)
-      : cfg_(cfg), max_preemptions_(max_preemptions) {}
+  explicit ForkOracle(const Explorer::Config& cfg) : cfg_(cfg) {}
 
   void run() {
     Sim root;
@@ -372,7 +368,7 @@ class ForkOracle {
     root.set_trace_recording(false);
     MeasureAccumulator acc(cfg_.nprocs);
     root.add_sink(acc);
-    visit(root, acc, 0, 0, -1);
+    visit(root, acc, 0);
   }
 
   std::vector<ComplexityReport> best;
@@ -398,8 +394,7 @@ class ForkOracle {
     }
   }
 
-  void visit(const Sim& sim, MeasureAccumulator& acc, int depth, int preempt,
-             Pid last) {
+  void visit(const Sim& sim, MeasureAccumulator& acc, int depth) {
     if (!sim.any_runnable()) {
       leaf(sim, acc, /*cut=*/false);
       return;
@@ -408,17 +403,10 @@ class ForkOracle {
       leaf(sim, acc, /*cut=*/true);
       return;
     }
-    bool branched = false;
     for (Pid p = 0; p < cfg_.nprocs; ++p) {
       if (!sim.runnable(p)) {
         continue;
       }
-      const int switch_cost = (last != -1 && p != last) ? 1 : 0;
-      if (max_preemptions_ >= 0 &&
-          preempt + switch_cost > max_preemptions_) {
-        continue;
-      }
-      branched = true;
       std::shared_ptr<void> owner;
       const SimBuilder rebuild = [&](Sim& s) {
         owner = cfg_.setup(s);
@@ -435,60 +423,46 @@ class ForkOracle {
         ++violations;
         continue;
       }
-      visit(*child, child_acc, depth + 1, preempt + switch_cost, p);
-    }
-    if (!branched) {
-      leaf(sim, acc, /*cut=*/true);  // every runnable pick is over budget
+      visit(*child, child_acc, depth + 1);
     }
   }
 
   const Explorer::Config& cfg_;
-  int max_preemptions_;
 };
 
 /// The Explorer's certified answer must equal the oracle's under every
-/// remaining configuration: Off with and without the visited cache,
-/// stateful source-DPOR, and the Bounded strategy at preemption bounds 0,
-/// 1 and 2 with and without the cache. Without the cache an Off search
-/// walks the same tree as the oracle, so its leaf counts and violation
-/// count must match exactly too.
+/// Exhaustive configuration: Off with and without the visited cache, and
+/// stateful source-DPOR. Without the cache an Off search walks the same
+/// tree as the oracle, so its leaf counts and violation count must match
+/// exactly too.
 void expect_explorer_matches_oracle(Explorer::Config cfg) {
   struct Variant {
     const char* what;
     ReductionPolicy policy;
     bool prune;
   };
-  for (const int bound : {-1, 0, 1, 2}) {
-    SCOPED_TRACE("max_preemptions " + std::to_string(bound));
-    ForkOracle oracle(cfg, bound);
-    oracle.run();
-    ASSERT_FALSE(oracle.best.empty());
-    cfg.strategy = bound < 0 ? SearchStrategy::Exhaustive
-                             : SearchStrategy::Bounded;
-    cfg.limits.max_preemptions = bound;
-    for (const Variant v :
-         {Variant{"off, pruning off", ReductionPolicy::Off, false},
-          Variant{"off, pruning on", ReductionPolicy::Off, true},
-          Variant{"source-dpor", ReductionPolicy::SourceDpor, true}}) {
-      if (bound >= 0 && v.policy == ReductionPolicy::SourceDpor) {
-        continue;  // source-DPOR is Exhaustive-only
-      }
-      SCOPED_TRACE(v.what);
-      cfg.limits.reduction = v.policy;
-      cfg.limits.prune_visited = v.prune;
-      const Explorer::Result r = Explorer(cfg).run();
-      ASSERT_EQ(r.best.size(), oracle.best.size());
-      for (std::size_t i = 0; i < r.best.size(); ++i) {
-        expect_same_report(r.best[i], oracle.best[i]);
-      }
-      EXPECT_EQ(r.stats.violations > 0, oracle.violations > 0);
-      EXPECT_EQ(r.stats.truncated, oracle.truncated > 0);
-      EXPECT_FALSE(r.stats.state_budget_hit);  // certified, like the oracle
-      if (!v.prune) {
-        EXPECT_EQ(r.stats.runs_completed, oracle.completed);
-        EXPECT_EQ(r.stats.runs_truncated, oracle.truncated);
-        EXPECT_EQ(r.stats.violations, oracle.violations);
-      }
+  ForkOracle oracle(cfg);
+  oracle.run();
+  ASSERT_FALSE(oracle.best.empty());
+  for (const Variant v :
+       {Variant{"off, pruning off", ReductionPolicy::Off, false},
+        Variant{"off, pruning on", ReductionPolicy::Off, true},
+        Variant{"source-dpor", ReductionPolicy::SourceDpor, true}}) {
+    SCOPED_TRACE(v.what);
+    cfg.limits.reduction = v.policy;
+    cfg.limits.prune_visited = v.prune;
+    const Explorer::Result r = Explorer(cfg).run();
+    ASSERT_EQ(r.best.size(), oracle.best.size());
+    for (std::size_t i = 0; i < r.best.size(); ++i) {
+      expect_same_report(r.best[i], oracle.best[i]);
+    }
+    EXPECT_EQ(r.stats.violations > 0, oracle.violations > 0);
+    EXPECT_EQ(r.stats.truncated, oracle.truncated > 0);
+    EXPECT_FALSE(r.stats.state_budget_hit);  // certified, like the oracle
+    if (!v.prune) {
+      EXPECT_EQ(r.stats.runs_completed, oracle.completed);
+      EXPECT_EQ(r.stats.runs_truncated, oracle.truncated);
+      EXPECT_EQ(r.stats.violations, oracle.violations);
     }
   }
 }

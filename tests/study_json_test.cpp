@@ -373,6 +373,13 @@ TEST(StudyJson, RejectsMalformedInput) {
   disagreeing.replace(disagreeing.find(policies), policies.size(),
                       "\"policy\": \"source-dpor\", \"requested\": \"off\"");
   EXPECT_THROW((void)study_from_json(disagreeing), std::invalid_argument);
+  // The deleted preemption-bounded strategy is an unknown name too.
+  const std::string strategy = "\"strategy\": \"exhaustive\"";
+  ASSERT_NE(golden.find(strategy), std::string::npos);
+  std::string bounded = golden;
+  bounded.replace(bounded.find(strategy), strategy.size(),
+                  "\"strategy\": \"bounded\"");
+  EXPECT_THROW((void)study_from_json(bounded), std::invalid_argument);
 }
 
 }  // namespace

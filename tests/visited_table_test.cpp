@@ -3,8 +3,7 @@
 // every subsumed() query exactly like a straightforward
 // unordered_map<key, vector<mask>>, across random workloads, key
 // collisions on probe chains, inline overflow into the spill pool, and
-// growth/rehash — under both of the explorer's uses, sleep masks
-// (stateful source-DPOR) and preemption counts (Bounded searches).
+// growth/rehash — on sleep masks up to the full 32-bit width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -95,27 +94,27 @@ TEST(SleepCache, MatchesOracleAcrossClear) {
   }
 }
 
-TEST(SleepCache, LowBitMasksAreExactlyPreemptionDominance) {
-  // A Bounded search stores (1 << p) - 1 for p preemptions spent: on
-  // those masks the subset rule must mean exactly "a stored visit that
-  // spent p' <= p preemptions covers this one" (it had at least as much
-  // budget left), with inserts dropping the visits they dominate.
+TEST(SleepCache, ChainMasksUpTo31BitsMatchOracle) {
+  // Masks of the form (1 << b) - 1 for b in [0, 31] form a chain under
+  // inclusion and set bits up to 30, so they exercise the full 32-bit mask
+  // width: a stored mask covers a new one iff it has no more bits, and
+  // inserts must drop the stored masks they are a subset of.
   std::mt19937_64 rng(11);
   SleepCache cache;
   std::unordered_map<std::uint64_t, std::vector<int>> oracle;
   std::uniform_int_distribution<std::uint64_t> key_dist(0, 149);
-  std::uniform_int_distribution<int> preempt_dist(0, 31);
+  std::uniform_int_distribution<int> bits_dist(0, 31);
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t key = key_dist(rng) * 0x100000001b3ULL;
-    const int p = preempt_dist(rng);
-    std::vector<int>& spent = oracle[key];
-    const bool dominated = std::ranges::any_of(
-        spent, [p](int stored) { return stored <= p; });
-    ASSERT_EQ(cache.check_and_insert(key, (1u << p) - 1u), dominated)
-        << "key " << key << " p " << p;
-    if (!dominated) {
-      std::erase_if(spent, [p](int stored) { return stored >= p; });
-      spent.push_back(p);
+    const int b = bits_dist(rng);
+    std::vector<int>& stored_bits = oracle[key];
+    const bool covered = std::ranges::any_of(
+        stored_bits, [b](int stored) { return stored <= b; });
+    ASSERT_EQ(cache.check_and_insert(key, (1u << b) - 1u), covered)
+        << "key " << key << " bits " << b;
+    if (!covered) {
+      std::erase_if(stored_bits, [b](int stored) { return stored >= b; });
+      stored_bits.push_back(b);
     }
   }
   EXPECT_EQ(cache.size(), oracle.size());
