@@ -1,95 +1,33 @@
 #include "mutex/checkers.h"
 
-#include <functional>
-
 #include "core/adversary.h"
 #include "sched/sched.h"
 
 namespace cfc {
 
-namespace {
-
-/// Runs one bounded-preemption plan; returns true on an ME violation.
-bool run_plan(const MutexFactory& make, int n, int sessions,
-              const std::vector<std::pair<Pid, int>>& plan,
-              std::uint64_t finish_budget, bool& incomplete) {
-  Sim sim;
-  auto alg = setup_mutex(sim, make, n, sessions);
-  try {
-    for (const auto& [pid, len] : plan) {
-      for (int i = 0; i < len && sim.runnable(pid); ++i) {
-        sim.step(pid);
-      }
-    }
-    RoundRobinScheduler rr;
-    const RunOutcome out = drive(sim, rr, RunLimits{finish_budget});
-    if (out != RunOutcome::AllDone) {
-      incomplete = true;
-    }
-  } catch (const MutualExclusionViolation&) {
-    return true;
-  }
-  return false;
-}
-
-void enumerate_plans(int n, int max_segments, int max_segment_len,
-                     std::vector<std::pair<Pid, int>>& plan,
-                     const std::function<void()>& visit) {
-  visit();  // also test the pure round-robin completion (empty prefix)
-  if (static_cast<int>(plan.size()) >= max_segments) {
-    return;
-  }
-  const Pid last = plan.empty() ? -1 : plan.back().first;
-  for (Pid p = 0; p < n; ++p) {
-    if (p == last) {
-      continue;  // merging equal adjacent segments is redundant
-    }
-    for (int len = 1; len <= max_segment_len; ++len) {
-      plan.emplace_back(p, len);
-      enumerate_plans(n, max_segments, max_segment_len, plan, visit);
-      plan.pop_back();
-    }
-  }
-}
-
-}  // namespace
-
-ExplorationResult explore_bounded_preemption(const MutexFactory& make, int n,
-                                             int sessions, int max_segments,
-                                             int max_segment_len,
-                                             std::uint64_t finish_budget) {
-  ExplorationResult res;
-  std::vector<std::pair<Pid, int>> plan;
-  enumerate_plans(n, max_segments, max_segment_len, plan, [&]() {
-    bool incomplete = false;
-    if (run_plan(make, n, sessions, plan, finish_budget, incomplete)) {
-      res.violations += 1;
-    }
-    if (incomplete) {
-      res.incomplete_runs += 1;
-    }
-    res.plans_run += 1;
-  });
-  return res;
-}
-
 bool deadlock_free_under_fair_schedules(const MutexFactory& make, int n,
                                         int sessions,
                                         const std::vector<std::uint64_t>& seeds,
                                         std::uint64_t budget) {
-  {
-    Sim sim;
-    auto alg = setup_mutex(sim, make, n, sessions);
-    RoundRobinScheduler rr;
-    if (drive(sim, rr, RunLimits{budget}) != RunOutcome::AllDone) {
-      return false;
-    }
-  }
-  for (const std::uint64_t seed : seeds) {
+  // One run: `prefix` picks of a RandomScheduler(seed), then `finish`,
+  // which must bring every process to completion within the budget.
+  const auto finishes = [&](std::uint64_t seed, std::uint64_t prefix,
+                            Scheduler& finish) {
     Sim sim;
     auto alg = setup_mutex(sim, make, n, sessions);
     RandomScheduler rnd(seed);
-    if (drive(sim, rnd, RunLimits{budget}) != RunOutcome::AllDone) {
+    drive(sim, rnd, RunLimits{prefix});
+    return drive(sim, finish, RunLimits{budget}) == RunOutcome::AllDone;
+  };
+  RoundRobinScheduler rr;
+  if (!finishes(0, 0, rr)) {
+    return false;
+  }
+  for (const std::uint64_t seed : seeds) {
+    RandomScheduler rnd(seed);
+    RoundRobinScheduler after_prefix;
+    if (!finishes(seed, 0, rnd) ||
+        !finishes(seed, seed % 25, after_prefix)) {
       return false;
     }
   }
@@ -101,51 +39,6 @@ bool completes_solo_sessions(const MutexFactory& make, int n,
   Sim sim;
   auto alg = setup_mutex(sim, make, n, 1);
   return run_sequentially(sim, budget);
-}
-
-namespace {
-
-/// Depth-first enumeration of all two-process schedules by prefix replay:
-/// each tree node replays its pid prefix on a fresh simulation, then
-/// branches on every runnable pid. O(nodes * depth) simulator steps.
-void exhaustive_dfs(const MutexFactory& make, int sessions, int max_depth,
-                    std::vector<Pid>& prefix, ExhaustiveResult& out) {
-  Sim sim;
-  auto alg = setup_mutex(sim, make, 2, sessions);
-  try {
-    for (const Pid p : prefix) {
-      sim.step(p);
-    }
-  } catch (const MutualExclusionViolation&) {
-    out.violations += 1;
-    return;
-  }
-  if (sim.all_done()) {
-    out.completed_runs += 1;
-    return;
-  }
-  if (static_cast<int>(prefix.size()) >= max_depth) {
-    out.truncated_runs += 1;
-    return;
-  }
-  for (Pid p = 0; p < 2; ++p) {
-    if (!sim.runnable(p)) {
-      continue;
-    }
-    prefix.push_back(p);
-    exhaustive_dfs(make, sessions, max_depth, prefix, out);
-    prefix.pop_back();
-  }
-}
-
-}  // namespace
-
-ExhaustiveResult exhaustive_two_process(const MutexFactory& make, int sessions,
-                                        int max_depth) {
-  ExhaustiveResult out;
-  std::vector<Pid> prefix;
-  exhaustive_dfs(make, sessions, max_depth, prefix, out);
-  return out;
 }
 
 }  // namespace cfc

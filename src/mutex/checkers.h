@@ -8,32 +8,13 @@
 
 namespace cfc {
 
-/// Result of a systematic bounded-preemption exploration.
-struct ExplorationResult {
-  std::uint64_t plans_run = 0;        ///< schedules executed
-  std::uint64_t violations = 0;       ///< mutual-exclusion violations seen
-  std::uint64_t incomplete_runs = 0;  ///< runs that hit the finish budget
-};
-
-/// Systematically explores schedules of the form
-///   run p_0 for k_0 accesses, p_1 for k_1, ..., p_m for k_m,
-///   then finish fairly (round-robin),
-/// over all pid sequences with up to `max_segments` segments (adjacent
-/// segments use different pids) and segment lengths 1..`max_segment_len`.
-/// The simulator's mutual-exclusion invariant check fires on any state with
-/// two processes in their critical sections; violations are counted rather
-/// than thrown.
-///
-/// This is a preemption-bounded model check: empirically, classic mutex
-/// races are exposed by schedules with very few context switches, so small
-/// bounds give high confidence at polynomial cost.
-[[nodiscard]] ExplorationResult explore_bounded_preemption(
-    const MutexFactory& make, int n, int sessions, int max_segments,
-    int max_segment_len, std::uint64_t finish_budget = 100'000);
-
 /// Liveness under fair scheduling (deadlock freedom, and for these
 /// algorithms starvation freedom in practice): every process completes all
 /// its sessions under round-robin and under each seeded random schedule.
+/// Each seed also drives one run of `seed % 25` random picks that
+/// round-robin must then finish: fair scheduling completes from a
+/// preempted state, not only from the initial one. `budget` bounds the
+/// steps of every finishing run.
 [[nodiscard]] bool deadlock_free_under_fair_schedules(
     const MutexFactory& make, int n, int sessions,
     const std::vector<std::uint64_t>& seeds,
@@ -43,24 +24,6 @@ struct ExplorationResult {
 /// other and returns true iff all complete (weak deadlock freedom).
 [[nodiscard]] bool completes_solo_sessions(const MutexFactory& make, int n,
                                            std::uint64_t budget = 100'000);
-
-/// Result of the exhaustive bounded-depth interleaving enumeration.
-struct ExhaustiveResult {
-  std::uint64_t completed_runs = 0;  ///< schedules where both finished
-  std::uint64_t truncated_runs = 0;  ///< schedules cut off at max_depth
-  std::uint64_t violations = 0;      ///< mutual-exclusion violations
-};
-
-/// Enumerates EVERY two-process schedule up to `max_depth` scheduler picks
-/// (a complete binary tree of interleavings, each replayed from the initial
-/// state) and checks the mutual-exclusion invariant along every one.
-/// Schedules still running at the depth bound count as truncated — for
-/// waiting algorithms (which admit unbounded spins) truncation is
-/// unavoidable, but every *reachable prefix* up to the bound is covered,
-/// which subsumes the preemption-bounded search at the same depth.
-[[nodiscard]] ExhaustiveResult exhaustive_two_process(const MutexFactory& make,
-                                                      int sessions,
-                                                      int max_depth);
 
 }  // namespace cfc
 

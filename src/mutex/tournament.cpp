@@ -85,8 +85,8 @@ Task<void> TournamentMutex::exit(ProcessContext& ctx, int slot) {
   // release of that node then erases — admitting two winners. It is unsafe
   // for Lamport nodes too (LamportTree::exit releases root -> leaf for the
   // same reason: the successor enters the upper node under the exiting
-  // process's local id). The bounded-preemption explorer in the test suite
-  // finds the Peterson violation reliably; see the regression tests
+  // process's local id). Seeded random schedules found both violations;
+  // see the regression tests
   // TournamentExitOrder.LeafToRootIsUnsafeForPetersonNodes and
   // TournamentExitOrder.LamportTreeReleasesRootToLeaf.
   const std::vector<PathStep> path = path_of(slot);

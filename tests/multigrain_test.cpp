@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/experiment.h"
-#include "mutex/checkers.h"
 #include "mutex/lamport_fast.h"
 #include "mutex/lamport_packed.h"
 #include "sched/sched.h"
@@ -110,32 +109,6 @@ TEST(LamportPacked, AtomicityIsDoubled) {
         /*max_pids=*/2);
     EXPECT_EQ(packed.measured_atomicity, 2 * plain.measured_atomicity);
   }
-}
-
-TEST(LamportPacked, SafetyUnderBoundedPreemptionExploration) {
-  const ExplorationResult res = explore_bounded_preemption(
-      LamportPacked::factory(), /*n=*/2, /*sessions=*/1, /*max_segments=*/4,
-      /*max_segment_len=*/6);
-  EXPECT_EQ(res.violations, 0u);
-  EXPECT_EQ(res.incomplete_runs, 0u);
-}
-
-TEST(LamportPacked, SafetyThreeProcesses) {
-  const ExplorationResult res = explore_bounded_preemption(
-      LamportPacked::factory(), /*n=*/3, /*sessions=*/1, /*max_segments=*/3,
-      /*max_segment_len=*/5);
-  EXPECT_EQ(res.violations, 0u);
-}
-
-TEST(LamportPacked, RandomSchedulesAndLiveness) {
-  for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    Sim sim;
-    auto alg = setup_mutex(sim, LamportPacked::factory(), 5, 2);
-    RandomScheduler rnd(seed);
-    EXPECT_NO_THROW(drive(sim, rnd, RunLimits{500'000})) << "seed " << seed;
-  }
-  EXPECT_TRUE(deadlock_free_under_fair_schedules(LamportPacked::factory(), 4,
-                                                 3, {1, 2, 3, 4}));
 }
 
 // Cross-check: the packed and unpacked variants make identical scheduling

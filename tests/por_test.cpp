@@ -100,7 +100,8 @@ void expect_source_dpor_matches_unreduced(const Explorer::SetupFn& setup,
   // Registry algorithms are safe: the violation count must agree exactly
   // (0 == 0); for broken algorithms the *verdict* (found / not found) is
   // what reduction preserves — violating traces violate in every
-  // linearization — which BrokenLock below asserts.
+  // linearization — which Explorer.FindsMutualExclusionViolationInBrokenLock
+  // (explorer_test) asserts under both policies.
   EXPECT_EQ(off.stats.violations, por.stats.violations) << what;
 }
 
@@ -240,45 +241,6 @@ TEST(PorDifferential, SourceDporReducesTheUnprunedTree) {
   expect_source_dpor_reduces(
       detector_setup(registry.detector("splitter-tree-l2").factory, 3), 3,
       10, "splitter-tree-l2");
-}
-
-// --- Safety under reduction. ---
-
-TEST(PorDifferential, BrokenLockViolationSurvivesReduction) {
-  // Violating traces violate in every linearization (section-change pairs
-  // never commute), so the reduced search must still find the broken
-  // lock's mutual-exclusion violation — fewer violating schedules visited,
-  // but never zero.
-  class NoMutex final : public MutexAlgorithm {
-   public:
-    explicit NoMutex(RegisterFile& mem) { r_ = mem.add_bit("nomutex.r"); }
-    Task<void> enter(ProcessContext& ctx, int) override {
-      co_await ctx.read(r_);
-    }
-    Task<void> exit(ProcessContext& ctx, int) override {
-      co_await ctx.read(r_);
-    }
-    Task<Value> try_enter(ProcessContext& ctx, int slot, RegId) override {
-      co_await enter(ctx, slot);
-      co_return 1;
-    }
-    [[nodiscard]] int capacity() const override { return 2; }
-    [[nodiscard]] int atomicity() const override { return 1; }
-    [[nodiscard]] std::string algorithm_name() const override {
-      return "broken";
-    }
-
-   private:
-    RegId r_;
-  };
-  const MutexFactory broken = [](RegisterFile& mem, int) {
-    return std::make_unique<NoMutex>(mem);
-  };
-  const Explorer::Result por =
-      Explorer(explorer_config(mutex_setup(broken, 2), 2, 10,
-                               ReductionPolicy::SourceDpor))
-          .run();
-  EXPECT_GT(por.stats.violations, 0u);
 }
 
 // --- Reduction counters: populated and thread-count invariant. ---
