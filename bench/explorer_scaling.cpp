@@ -8,7 +8,7 @@
 // source-dpor reduction rows (with a stateful-vs-baseline state ceiling),
 // stateful vs stateless source-dpor on the re-convergent peterson-tree
 // cell (the >= 10x sleep_blocked gate), Sim-level restore mechanics
-// (rewind vs fork vs from-scratch), work-stealing thread scaling of the
+// (rewind vs from-scratch), work-stealing thread scaling of the
 // parallel source-DPOR path, and thread-count invariance checked
 // byte-for-byte on the canonical study JSON (also written to --study-out
 // for CI's cross-thread-count cmp gate). Writes BENCH_explorer_scaling.json
@@ -583,8 +583,8 @@ int main(int argc, char** argv) {
 
   // --- 4. Sim-level restore mechanics: reposition a measured run K times
   // the way a work item does (restore the run-start mark, re-step the
-  // prefix live with a fresh accumulator), by fork-by-replay, and by
-  // from-scratch replay (rebuild + re-run with live measurement).
+  // prefix live with a fresh accumulator), and by from-scratch replay
+  // (rebuild + re-run with live measurement).
   std::printf("Sim restore mechanics (peterson-tree, n=4):\n\n");
   {
     const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
@@ -592,7 +592,7 @@ int main(int argc, char** argv) {
     const int n = 4;
     auto keep =
         std::make_shared<std::vector<std::unique_ptr<MutexAlgorithm>>>();
-    const SimBuilder rebuild = [tree, n, keep](Sim& sim) {
+    const auto rebuild = [tree, n, keep](Sim& sim) {
       keep->push_back(setup_mutex(sim, tree, n, /*sessions=*/8));
       sim.set_trace_recording(false);
     };
@@ -606,10 +606,12 @@ int main(int argc, char** argv) {
     original.add_sink(acc);
     RandomScheduler rnd(opts.seed);
     drive(original, rnd, RunLimits{1200});
-    const SimCheckpoint cp = original.checkpoint();
-    const std::size_t prefix_len = cp.schedule.size();
-    const auto restep = [&cp](Sim& sim) {
-      for (const SimCheckpoint::Unit& u : cp.schedule) {
+    const std::vector<ScheduleUnit> prefix = original.schedule_log();
+    const std::size_t prefix_len = prefix.size();
+    const std::uint64_t prefix_fp = original.memory().fingerprint();
+    const Seq prefix_seq = original.next_seq();
+    const auto restep = [&prefix](Sim& sim) {
+      for (const ScheduleUnit& u : prefix) {
         if (u.start_only) {
           sim.ensure_started(u.pid);
         } else {
@@ -633,13 +635,6 @@ int main(int argc, char** argv) {
          },
          [&] {
            for (int i = 0; i < iters; ++i) {
-             std::unique_ptr<Sim> forked = Sim::fork(cp, rebuild);
-             MeasureAccumulator restored(acc);
-             forked->add_sink(restored);
-           }
-         },
-         [&] {
-           for (int i = 0; i < iters; ++i) {
              Sim scratch;
              rebuild(scratch);
              MeasureAccumulator fresh(n);
@@ -648,25 +643,23 @@ int main(int argc, char** argv) {
            }
          }});
     const double ms_rewind = ms[0];
-    const double ms_fork = ms[1];
-    const double ms_scratch = ms[2];
+    const double ms_scratch = ms[1];
     std::printf(
         "  prefix %zu picks x %d restores: base-mark rewind + re-step "
-        "%.1f ms, fork %.1f ms, from-scratch %.1f ms (%.2fx rewind vs "
-        "scratch)\n\n",
-        prefix_len, iters, ms_rewind, ms_fork, ms_scratch,
+        "%.1f ms, from-scratch %.1f ms (%.2fx rewind vs scratch)\n\n",
+        prefix_len, iters, ms_rewind, ms_scratch,
         ms_rewind > 0 ? ms_scratch / ms_rewind : 0.0);
     json.row({{"section", std::string("sim_restore")},
               {"prefix_picks",
                cfc::bench::jv(static_cast<long long>(prefix_len))},
               {"iters", cfc::bench::jv(iters)},
               {"rewind_ms", cfc::bench::jv(ms_rewind)},
-              {"fork_ms", cfc::bench::jv(ms_fork)},
               {"scratch_ms", cfc::bench::jv(ms_scratch)}});
-    verify.check(original.memory().fingerprint() == cp.memory_fingerprint &&
-                     original.next_seq() == cp.next_seq &&
+    verify.check(original.memory().fingerprint() == prefix_fp &&
+                     original.next_seq() == prefix_seq &&
                      original.schedule_log().size() == prefix_len,
-                 "base-mark rewind + re-step returns to the checkpoint");
+                 "base-mark rewind + re-step returns to the end of the "
+                 "prefix");
     // Noise guard only: rewind must at least keep up with from-scratch.
     verify.check(ms_rewind <= ms_scratch * 1.25,
                  "recycled rewind not slower than from-scratch replay");

@@ -213,7 +213,8 @@ struct ExploreObjective {
 /// frees and re-allocates only the coroutine frames of the processes it
 /// value-replays. That is the only restore — a work item
 /// repositions at the run-start mark the same way — and tests check it
-/// against a from-scratch Sim::fork oracle (tests/rewind_test.cpp).
+/// against a from-scratch oracle that rebuilds a Sim and replays the
+/// schedule log step by step (tests/rewind_test.cpp).
 ///
 /// Parallelism: a sequential planner walks the top min(4, max_depth)
 /// levels (fixed, never derived from the thread count) and emits one

@@ -45,8 +45,8 @@ void Sim::remove_sink(EventSink& sink) {
 }
 
 void Sim::emit(const TraceEvent& ev) {
-  if (quiet_replay_) {
-    return;  // checkpoint replay: the events were already published once
+  if (value_replay_) {
+    return;  // rewind_to_mark: the events were already published once
   }
   if (record_trace_) {
     recorder_.on_event(ev);
@@ -134,7 +134,7 @@ void Sim::ensure_started(Pid pid) {
   last_step_ = StepSummary{};
   last_step_.pid = pid;
   last_step_.started = true;
-  if (!bulk_replay_) {
+  if (!value_replay_) {
     // Start units deliver no value, so they have no tape entry: a pid's
     // tape holds exactly its non-start units.
     sched_log_.push_back({pid, /*start_only=*/true});
@@ -326,8 +326,7 @@ Value Sim::execute(Proc& pr, Pid pid, const PendingAccess& req) {
   // Fold the full observation into the process digest: what was done and
   // what came back. A deterministic coroutine's local state is a function
   // of its observation history, so equal digests mean equal local states.
-  // (Mixed down to one fp_push: this runs once per simulated access,
-  // including every replayed one.)
+  // (Mixed down to one fp_push: this runs once per simulated access.)
   const std::uint64_t meta = (static_cast<std::uint64_t>(a.reg) << 16) |
                              (static_cast<std::uint64_t>(a.kind) << 8) |
                              static_cast<std::uint64_t>(a.bit_op);
@@ -338,15 +337,12 @@ Value Sim::execute(Proc& pr, Pid pid, const PendingAccess& req) {
     obs ^= fp_mix(*a.returned ^ 0xd6e8feb86659fd93ULL) | 1u;
   }
   pr.digest = fp_push(pr.digest, obs);
-  const Seq seq = next_seq_++;
-  if (!quiet_replay_) {  // replayed events were already published once:
-    TraceEvent ev;       // skip even constructing them
-    ev.seq = seq;
-    ev.pid = pid;
-    ev.kind = TraceEvent::Kind::Access;
-    ev.access = a;
-    emit(ev);
-  }
+  TraceEvent ev;
+  ev.seq = next_seq_++;
+  ev.pid = pid;
+  ev.kind = TraceEvent::Kind::Access;
+  ev.access = a;
+  emit(ev);
   return a.returned.value_or(0);
 }
 
@@ -355,7 +351,7 @@ void Sim::on_section_change(Pid pid, Section s) {
   // Recorded before the mutual-exclusion check: a unit that throws AT a
   // section change is still section-change-adjacent for the summary.
   last_step_.section_changed = true;
-  if (check_mutex_ && !quiet_replay_ && s == Section::Critical) {
+  if (check_mutex_ && !value_replay_ && s == Section::Critical) {
     for (Pid q = 0; q < process_count(); ++q) {
       if (q != pid && proc(q).section == Section::Critical) {
         throw MutualExclusionViolation(
@@ -375,57 +371,6 @@ void Sim::on_section_change(Pid pid, Section s) {
 }
 
 void Sim::on_output(Pid pid, int value) { proc(pid).output = value; }
-
-SimCheckpoint Sim::checkpoint() const {
-  SimCheckpoint cp;
-  cp.schedule = sched_log_;
-  cp.memory = mem_.snapshot();
-  cp.memory_fingerprint = mem_.fingerprint();
-  cp.next_seq = next_seq_;
-  return cp;
-}
-
-std::unique_ptr<Sim> Sim::fork(const SimCheckpoint& cp,
-                               const SimBuilder& rebuild) {
-  return fork(cp.schedule, cp.memory_fingerprint, cp.next_seq, rebuild,
-              cp.memory.empty() ? nullptr : &cp.memory);
-}
-
-std::unique_ptr<Sim> Sim::fork(std::span<const SimCheckpoint::Unit> schedule,
-                               std::uint64_t expect_fingerprint,
-                               Seq expect_seq, const SimBuilder& rebuild,
-                               const MemorySnapshot* expect_memory) {
-  if (!rebuild) {
-    throw std::invalid_argument("Sim::fork needs a rebuild callback");
-  }
-  auto sim = std::make_unique<Sim>();
-  rebuild(*sim);
-  sim->quiet_replay_ = true;
-  try {
-    for (const SimCheckpoint::Unit& u : schedule) {
-      if (u.start_only) {
-        sim->ensure_started(u.pid);
-      } else {
-        sim->step(u.pid);
-      }
-    }
-  } catch (...) {
-    sim->quiet_replay_ = false;
-    throw;
-  }
-  sim->quiet_replay_ = false;
-  const bool diverged =
-      (expect_fingerprint != 0 &&
-       (sim->next_seq_ != expect_seq ||
-        sim->mem_.fingerprint() != expect_fingerprint)) ||
-      (expect_memory != nullptr && sim->mem_.snapshot() != *expect_memory);
-  if (diverged) {
-    throw std::logic_error(
-        "Sim::fork: replay diverged from the checkpoint (non-deterministic "
-        "SimBuilder?)");
-  }
-  return sim;
-}
 
 void Sim::mark_rewind_base() {
   if (!sched_log_.empty()) {
@@ -471,7 +416,7 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
     throw std::out_of_range(
         "Sim::rewind_to_mark: mark prefix exceeds the schedule or undo log");
   }
-  if (quiet_replay_) {
+  if (value_replay_) {
     throw std::logic_error("Sim::rewind_to_mark: already replaying");
   }
   if (mark.digests.size() != procs_.size() ||
@@ -517,8 +462,7 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
   }
 
   std::size_t fed = 0;
-  quiet_replay_ = true;
-  bulk_replay_ = true;
+  value_replay_ = true;
   try {
     // Per-pid replay off each touched process's own value tape: the units
     // fed are exactly the ones owed, with no scan over the global schedule
@@ -557,12 +501,10 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
       }
     }
   } catch (...) {
-    quiet_replay_ = false;
-    bulk_replay_ = false;
+    value_replay_ = false;
     throw;
   }
-  quiet_replay_ = false;
-  bulk_replay_ = false;
+  value_replay_ = false;
 
   // Shared memory: undo every write past the mark, newest first.
   // Per-process digests and access counts come from the mark by
@@ -591,7 +533,7 @@ std::size_t Sim::rewind_to_mark(const RewindMark& mark) {
     }
   }
   sched_log_.resize(mark.prefix_len);
-  recorder_.clear();  // like a fork, the restored run's trace starts empty
+  recorder_.clear();  // the restored run's trace starts empty
 
   if (mem_.fingerprint() != mark.fingerprint) {
     throw std::logic_error(

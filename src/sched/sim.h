@@ -5,12 +5,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
-
 #include <vector>
 
 #include "memory/access.h"
@@ -25,44 +22,14 @@ namespace cfc {
 
 class Sim;
 
-/// Rebuilds a simulation's static configuration from scratch: registers,
-/// processes, access policy/model, crash injection, invariant checks —
-/// everything that is set up *before* the first scheduler pick. Must be
-/// deterministic: Sim::fork() replays a schedule prefix against a rebuilt
-/// simulation and verifies the result against the checkpoint's memory
-/// fingerprint. fork() is the from-scratch replay oracle: the in-place
-/// restore (Sim::rewind_to_mark) is tested against it.
-using SimBuilder = std::function<void(Sim&)>;
-
-/// A resumable point in a run. Coroutine frames cannot be copied, so a
-/// checkpoint is *not* a deep copy of the simulator: it is the schedule
-/// prefix that led here (every scheduler pick, in order) plus a snapshot of
-/// shared memory for verification. Restoring = rebuilding a fresh simulation
-/// with the same SimBuilder and replaying the prefix (fork-by-replay) — a
-/// plain simulator run with no undo log, value tape or mark involved.
-///
-/// What a fork restores exactly: register values, per-process coroutine
-/// positions, sections, outputs, access counts, pending accesses, crash
-/// status, and the event sequence counter — everything the original run
-/// observed, because replay re-executes the same deterministic accesses.
-/// What it does NOT restore: the materialized trace (replayed events are
-/// suppressed — the fork's trace starts empty) and event-sink history
-/// (sinks attach after the replay and see only post-fork events; streaming
-/// consumers like MeasureAccumulator are plain data, so checkpoint them by
-/// copy and re-attach alongside the fork).
-struct SimCheckpoint {
-  /// One replay unit: a scheduler pick (`start_only == false`, replayed via
-  /// step()) or a bare body start (`start_only == true`, replayed via
-  /// ensure_started() — the adversary constructions use it).
-  struct Unit {
-    Pid pid = -1;
-    bool start_only = false;
-  };
-
-  std::vector<Unit> schedule;    ///< every unit executed so far, in order
-  MemorySnapshot memory;         ///< register values at capture (verification)
-  std::uint64_t memory_fingerprint = 0;  ///< RegisterFile::fingerprint()
-  Seq next_seq = 0;              ///< event counter at capture (verification)
+/// One unit of a run's schedule: a scheduler pick (`start_only == false`,
+/// executed by Sim::step()) or a bare body start (`start_only == true`,
+/// executed by Sim::ensure_started() — the adversary constructions use it).
+/// Replaying a schedule log unit by unit on a freshly built simulation
+/// reproduces the run.
+struct ScheduleUnit {
+  Pid pid = -1;
+  bool start_only = false;
 };
 
 /// Thrown when two processes are simultaneously in their critical sections
@@ -324,38 +291,6 @@ class Sim {
   /// The materialized run (empty when trace recording is disabled).
   [[nodiscard]] const Trace& trace() const { return recorder_.trace(); }
 
-  /// --- Checkpointing (fork-by-replay). ---
-
-  /// Captures the current point of the run: the full schedule log plus a
-  /// memory snapshot, so fork() verifies the replay value for value.
-  /// O(picks + registers). See SimCheckpoint for the exact restore
-  /// semantics.
-  [[nodiscard]] SimCheckpoint checkpoint() const;
-
-  /// Restores a checkpoint into a fresh simulation: `rebuild` reconstructs
-  /// the static setup, then the schedule prefix is replayed with event
-  /// sinks, trace materialization, and the mutual-exclusion invariant check
-  /// suppressed (the prefix was already observed/validated when it first
-  /// ran). After the replay the memory fingerprint, event counter, and (when
-  /// present) the memory snapshot values are verified against the
-  /// checkpoint; a mismatch (non-deterministic rebuild) throws
-  /// std::logic_error. Attach sinks to the returned simulation afterwards —
-  /// they see only post-fork events.
-  ///
-  /// `cp.memory_fingerprint == 0 && cp.memory.empty()` skips verification.
-  [[nodiscard]] static std::unique_ptr<Sim> fork(const SimCheckpoint& cp,
-                                                 const SimBuilder& rebuild);
-
-  /// Zero-copy fork: replays a borrowed schedule span (typically a prefix
-  /// of a live simulation's own schedule_log(), which must stay alive and
-  /// unmodified until this returns) without materializing a SimCheckpoint.
-  /// `expect_fingerprint == 0` skips verification; `expect_memory`, when
-  /// non-null, additionally compares the full register values (debug).
-  [[nodiscard]] static std::unique_ptr<Sim> fork(
-      std::span<const SimCheckpoint::Unit> schedule,
-      std::uint64_t expect_fingerprint, Seq expect_seq,
-      const SimBuilder& rebuild, const MemorySnapshot* expect_memory = nullptr);
-
   /// --- In-place restore (the explorer's only restore path). ---
 
   /// Makes this simulation rewindable: records each process's crash plan
@@ -378,8 +313,8 @@ class Sim {
   /// feeding each unit the Value the original execution delivered (its
   /// per-pid value tape) so the coroutine re-reaches its suspension point
   /// without touching memory. Processes with no units past the mark are
-  /// left entirely alone — the savings over a fork(), which rebuilds and
-  /// replays every process.
+  /// left entirely alone — the savings over rebuilding the simulation and
+  /// replaying every process's units from the start.
   struct RewindMark {
     std::uint64_t fingerprint = 0;  ///< RegisterFile::fingerprint() at capture
     Seq seq = 0;                    ///< event counter at capture
@@ -413,9 +348,9 @@ class Sim {
   /// (a mutual-exclusion violation) logged that write like any other, so
   /// it is undone too. Digests and access counts of touched processes are
   /// restored from the mark (they fold memory values a value-replay cannot
-  /// see). Like fork(), the replay runs with sinks, trace materialization
-  /// and invariant checks suppressed, and any materialized trace is
-  /// cleared; attached sinks stay attached and see only post-rewind events
+  /// see). The value replay runs with sinks, trace materialization and
+  /// invariant checks suppressed, and any materialized trace is cleared;
+  /// attached sinks stay attached and see only post-rewind events
   /// — restore their state alongside (the explorer rewinds its
   /// accumulator). A mark whose fingerprint does not match the restored
   /// memory throws std::logic_error.
@@ -424,7 +359,8 @@ class Sim {
   /// mark, so its prefix units contain no crash/finish and every recorded
   /// value feeds a live suspension. Returns the number of units actually
   /// value-replayed (<= prefix units of touched processes; the observable
-  /// state is identical to a fork() of the first mark.prefix_len units).
+  /// state is identical to that of a freshly built simulation driven
+  /// through the first mark.prefix_len units of the log).
   std::size_t rewind_to_mark(const RewindMark& mark);
 
   /// True iff the next step(pid) fires the injected stopping failure
@@ -434,9 +370,8 @@ class Sim {
     return pr.crash_after.has_value() && pr.naccesses >= *pr.crash_after;
   }
 
-  /// The schedule log backing checkpoint(): every step()/ensure_started()
-  /// unit executed so far, in order.
-  [[nodiscard]] const std::vector<SimCheckpoint::Unit>& schedule_log() const {
+  /// Every step()/ensure_started() unit executed so far, in order.
+  [[nodiscard]] const std::vector<ScheduleUnit>& schedule_log() const {
     return sched_log_;
   }
 
@@ -550,7 +485,7 @@ class Sim {
   std::deque<Proc> procs_;  // deque: stable addresses for ProcessContext
   TraceRecorder recorder_;
   std::vector<EventSink*> sinks_;
-  std::vector<SimCheckpoint::Unit> sched_log_;
+  std::vector<ScheduleUnit> sched_log_;
   /// Per-pid value tapes (rewindable simulations only): for each process,
   /// the Value each of its non-start units delivered (Proc::last_result
   /// after the unit; 0 for yield/crash units), in its own program order.
@@ -578,10 +513,10 @@ class Sim {
   std::vector<std::optional<std::uint64_t>> base_crash_;
   /// last_step_summary(): rebuilt by every step()/ensure_started() unit.
   StepSummary last_step_;
-  /// True only inside rewind_to_mark's value replay: ensure_started skips
-  /// the per-unit log append (the log is truncated to the mark after).
-  bool bulk_replay_ = false;
-  bool quiet_replay_ = false;
+  /// True only inside rewind_to_mark's value replay: events are not
+  /// published, the mutual-exclusion check is off, and ensure_started
+  /// skips the per-unit log append (the log is truncated to the mark after).
+  bool value_replay_ = false;
   bool record_trace_ = true;
   Seq next_seq_ = 0;
   AccessPolicy policy_ = AccessPolicy::Unrestricted;

@@ -87,6 +87,42 @@ TEST_P(MutexSafety, ThreeProcessExhaustiveExploration) {
   expect_safe_and_live(alg, /*n=*/3, /*depth=*/16);
 }
 
+// At n=3 both Lamport trees are one node (lamport-tree-l2 groups three
+// processes per node, lamport-tree-l3-paper eight), so the n=3 searches
+// above never leave the flat Lamport algorithm. lamport-tree-l2 has an
+// upper node from n=4. lamport-tree-l3-paper needs n >= 9 for one, which
+// is out of an exhaustive search's reach. The clean-entry register
+// maximum shows that the n=4 search reaches the upper node: 6 registers,
+// against the single node's 5 at n=3.
+TEST(LamportTreeSafety, FourProcessSearchReachesTheUpperNode) {
+  const auto clean_entry_registers = [](int n, int depth) {
+    Explorer::Config cfg;
+    cfg.nprocs = n;
+    cfg.strategy = SearchStrategy::Exhaustive;
+    cfg.limits.max_depth = depth;
+    cfg.limits.reduction = ReductionPolicy::Off;
+    cfg.setup = [n](Sim& sim) -> std::shared_ptr<void> {
+      return setup_mutex(sim, theorem3_factory(2), n, /*sessions=*/1);
+    };
+    cfg.objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
+      ComplexityReport entry;
+      for (Pid pid = 0; pid < n; ++pid) {
+        entry = entry.max_with(acc.clean_entry_max(pid));
+      }
+      return std::vector<ComplexityReport>{entry};
+    };
+    cfg.objective.digest = [](const MeasureAccumulator& acc) {
+      return acc.window_digest();
+    };
+    const Explorer::Result r = Explorer(cfg).run();
+    EXPECT_EQ(r.stats.violations, 0u) << "n=" << n;
+    EXPECT_FALSE(r.stats.state_budget_hit) << "n=" << n;
+    return r.best.at(0).registers;
+  };
+  EXPECT_EQ(clean_entry_registers(3, 16), 5);
+  EXPECT_EQ(clean_entry_registers(4, 18), 6);
+}
+
 TEST_P(MutexSafety, RandomSchedulesManySeeds) {
   const auto algs = all_algorithms();
   const AlgCase& alg = algs[static_cast<std::size_t>(GetParam())];

@@ -1,14 +1,16 @@
 // Restore fidelity. Sim level: Sim::rewind_to_mark must reposition the
 // LIVE simulation at any mark along its own schedule log — the run-start
-// mark included — indistinguishably from Sim::fork of a checkpoint taken
-// there, across every registry algorithm, including crash injection.
-// Explorer level: the mark-restoring Explorer must certify exactly what a
-// from-scratch oracle finds, a plain DFS that rebuilds every child with
-// Sim::fork and uses no marks, cache or partial-order reduction.
+// mark included — indistinguishably from a freshly built simulation driven
+// step by step through the same prefix, across every registry algorithm,
+// including crash injection and multi-grain field writes. Explorer level:
+// the mark-restoring Explorer must certify exactly what a from-scratch
+// oracle finds, a plain DFS that rebuilds every child by that replay and
+// uses no marks, cache or partial-order reduction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <random>
 #include <span>
@@ -30,8 +32,11 @@ struct CrashPlan {
   std::uint64_t after_accesses;
 };
 
-SimBuilder mutex_builder(const MutexFactory& factory, int n, int sessions,
-                         std::vector<CrashPlan> crashes) {
+/// Rebuilds a simulation's static setup; must be deterministic.
+using Rebuild = std::function<void(Sim&)>;
+
+Rebuild mutex_builder(const MutexFactory& factory, int n, int sessions,
+                      std::vector<CrashPlan> crashes) {
   auto keep =
       std::make_shared<std::vector<std::unique_ptr<MutexAlgorithm>>>();
   return [factory, n, sessions, crashes, keep](Sim& sim) {
@@ -40,6 +45,23 @@ SimBuilder mutex_builder(const MutexFactory& factory, int n, int sessions,
       sim.crash_after(c.pid, c.after_accesses);
     }
   };
+}
+
+/// The from-scratch reference: a freshly built simulation driven through
+/// `units` with the public step()/ensure_started() only. Sinks attached by
+/// `rebuild` and the invariant checks stay live throughout.
+std::unique_ptr<Sim> replay(const Rebuild& rebuild,
+                            std::span<const ScheduleUnit> units) {
+  auto sim = std::make_unique<Sim>();
+  rebuild(*sim);
+  for (const ScheduleUnit& u : units) {
+    if (u.start_only) {
+      sim->ensure_started(u.pid);
+    } else {
+      sim->step(u.pid);
+    }
+  }
+  return sim;
 }
 
 void expect_same_state(const Sim& a, const Sim& b) {
@@ -60,7 +82,7 @@ void expect_same_state(const Sim& a, const Sim& b) {
 TEST(Rewind, BaseMarkAndCurrentMarkAreExact) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
-  const SimBuilder rebuild = mutex_builder(factory, 2, 1, {});
+  const Rebuild rebuild = mutex_builder(factory, 2, 1, {});
   Sim live;
   rebuild(live);
   live.mark_rewind_base();
@@ -89,16 +111,13 @@ TEST(Rewind, BaseMarkAndCurrentMarkAreExact) {
   for (Pid p = 0; p < live.process_count(); ++p) {
     EXPECT_EQ(live.status(p), ProcStatus::NotStarted);
   }
-  const std::unique_ptr<Sim> fresh =
-      Sim::fork(std::span<const SimCheckpoint::Unit>(),
-                /*expect_fingerprint=*/0, /*expect_seq=*/0, rebuild);
-  expect_same_state(live, *fresh);
+  expect_same_state(live, *replay(rebuild, {}));
 }
 
 TEST(Rewind, MarkRestoreVerifiesFingerprint) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
-  const SimBuilder rebuild = mutex_builder(factory, 2, 1, {});
+  const Rebuild rebuild = mutex_builder(factory, 2, 1, {});
   Sim live;
   rebuild(live);
   live.mark_rewind_base();
@@ -118,7 +137,7 @@ TEST(Rewind, MarkRestoreVerifiesFingerprint) {
 TEST(Rewind, RequiresBaselineAndValidMark) {
   const MutexFactory factory =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
-  const SimBuilder rebuild = mutex_builder(factory, 2, 1, {});
+  const Rebuild rebuild = mutex_builder(factory, 2, 1, {});
   Sim unmarked;
   rebuild(unmarked);
   Sim::RewindMark none;
@@ -168,13 +187,14 @@ TEST(Rewind, RestoresPerformZeroSimConstructions) {
 }
 
 /// Mark-based partial restore, sim level: capture a RewindMark mid-run,
-/// run on, rewind back to the mark, and differential-test against a fork
+/// run on, rewind back to the mark, and differential-test against a replay
 /// of the same prefix — then drive both onward identically (the restored
-/// sim must behave like the fork forever after, crash plans included).
+/// sim must behave like the replay forever after, crash plans included).
 void mark_rewind_and_compare(const MutexFactory& factory, int n,
+                             int sessions,
                              const std::vector<CrashPlan>& crashes,
                              std::uint64_t seed) {
-  const SimBuilder rebuild = mutex_builder(factory, n, 1, crashes);
+  const Rebuild rebuild = mutex_builder(factory, n, sessions, crashes);
 
   Sim live;
   rebuild(live);
@@ -188,8 +208,7 @@ void mark_rewind_and_compare(const MutexFactory& factory, int n,
   drive(live, more, RunLimits{30});
 
   const std::unique_ptr<Sim> reference =
-      Sim::fork(std::span(live.schedule_log().data(), prefix_len),
-                /*expect_fingerprint=*/0, /*expect_seq=*/0, rebuild);
+      replay(rebuild, std::span(live.schedule_log()).first(prefix_len));
   const std::size_t fed = live.rewind_to_mark(mark);
   ASSERT_EQ(live.schedule_log().size(), prefix_len);
   // Only processes that acted past the mark are value-replayed, so the
@@ -204,22 +223,52 @@ void mark_rewind_and_compare(const MutexFactory& factory, int n,
   expect_same_state(live, *reference);
 }
 
-TEST(Rewind, MarkRestoreMatchesForkAcrossAllRegistryMutexAlgorithms) {
+TEST(Rewind, MarkRestoreMatchesReplayAcrossAllRegistryMutexAlgorithms) {
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(2)) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE(e->info.name);
-      mark_rewind_and_compare(e->factory, 2, {}, seed);
+      mark_rewind_and_compare(e->factory, 2, 1, {}, seed);
     }
   }
 }
 
-TEST(Rewind, MarkRestoreMatchesForkUnderCrashInjection) {
+TEST(Rewind, MarkRestoreMatchesReplayUnderCrashInjection) {
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(4)) {
     SCOPED_TRACE(e->info.name);
-    mark_rewind_and_compare(e->factory, 4, {{0, 3}, {2, 1}}, 5);
+    mark_rewind_and_compare(e->factory, 4, 1, {{0, 3}, {2, 1}}, 5);
   }
+}
+
+TEST(Rewind, SinksSeeOnlyPostRewindEvents) {
+  const MutexFactory factory =
+      AlgorithmRegistry::instance().mutex("peterson-2p").factory;
+  const Rebuild rebuild = mutex_builder(factory, 2, 1, {});
+  Sim live;
+  rebuild(live);
+  live.mark_rewind_base();
+  RandomScheduler rnd(3);
+  drive(live, rnd, RunLimits{8});
+  Sim::RewindMark mark;
+  live.capture_mark(mark);
+  drive(live, rnd, RunLimits{8});
+
+  TraceRecorder post;
+  live.add_sink(post);
+  // The value replay re-runs touched processes' section changes; none of
+  // them may reach the sink or the materialized trace.
+  EXPECT_GT(live.rewind_to_mark(mark), 0u);
+  EXPECT_TRUE(post.trace().empty());
+  EXPECT_TRUE(live.trace().empty());
+  EXPECT_EQ(live.next_seq(), mark.seq);
+
+  // The attached sink sees the events after the rewind, numbered on from
+  // the mark.
+  RandomScheduler cont(4);
+  drive(live, cont, RunLimits{5});
+  ASSERT_FALSE(post.trace().empty());
+  EXPECT_EQ(post.trace().events().front().seq, mark.seq);
 }
 
 /// A mutex with no synchronization: enter writes the process's own id to
@@ -249,20 +298,20 @@ class RacyMutex final : public MutexAlgorithm {
   RegId r_;
 };
 
-/// Nested marks against the fork oracle: a random walk over the
+/// Nested marks against the replay oracle: a random walk over the
 /// operations the explorer composes — step a random runnable process,
 /// capture a mark (pushed on a stack, the current path's checkpoints),
 /// and rewind to a random stacked mark (inner or outer, the run-start mark
 /// included; the marks above it are popped, since the run is now past
-/// them). After every rewind the live sim must equal a Sim::fork of the
-/// same prefix. A step that throws MutualExclusionViolation (its write
+/// them). After every rewind the live sim must equal a replay of the same
+/// prefix. A step that throws MutualExclusionViolation (its write
 /// already committed) poisons the sim until the next rewind. Returns the
 /// number of violating units, so callers can check the path was taken.
-int nested_marks_against_fork(const MutexFactory& factory, int n,
-                              int sessions,
-                              const std::vector<CrashPlan>& crashes,
-                              std::uint64_t seed) {
-  const SimBuilder rebuild = mutex_builder(factory, n, sessions, crashes);
+int nested_marks_against_replay(const MutexFactory& factory, int n,
+                                int sessions,
+                                const std::vector<CrashPlan>& crashes,
+                                std::uint64_t seed) {
+  const Rebuild rebuild = mutex_builder(factory, n, sessions, crashes);
   Sim live;
   rebuild(live);
   live.mark_rewind_base();
@@ -274,14 +323,11 @@ int nested_marks_against_fork(const MutexFactory& factory, int n,
   int violations = 0;
   int rewinds = 0;
 
-  const auto compare_with_fork = [&](std::size_t fed, std::size_t len) {
+  const auto compare_with_replay = [&](std::size_t fed, std::size_t len) {
     ++rewinds;
     ASSERT_EQ(live.schedule_log().size(), len);
     EXPECT_LE(fed, len);
-    const std::unique_ptr<Sim> reference =
-        Sim::fork(std::span(live.schedule_log().data(), len),
-                  /*expect_fingerprint=*/0, /*expect_seq=*/0, rebuild);
-    expect_same_state(live, *reference);
+    expect_same_state(live, *replay(rebuild, live.schedule_log()));
   };
 
   for (int op = 0; op < 400; ++op) {
@@ -295,7 +341,8 @@ int nested_marks_against_fork(const MutexFactory& factory, int n,
     if (poisoned || runnable.empty() || roll >= 12) {
       const std::size_t k = rng() % stack.size();
       stack.resize(k + 1);
-      compare_with_fork(live.rewind_to_mark(stack[k]), stack[k].prefix_len);
+      compare_with_replay(live.rewind_to_mark(stack[k]),
+                          stack[k].prefix_len);
       poisoned = false;
     } else if (roll >= 9) {
       stack.emplace_back();
@@ -313,21 +360,45 @@ int nested_marks_against_fork(const MutexFactory& factory, int n,
   return violations;
 }
 
-TEST(Rewind, NestedMarksMatchForkAcrossAllRegistryMutexAlgorithms) {
+TEST(Rewind, NestedMarksMatchReplayAcrossAllRegistryMutexAlgorithms) {
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(3)) {
     SCOPED_TRACE(e->info.name);
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-      nested_marks_against_fork(e->factory, 3, 2, {}, seed);
+      nested_marks_against_replay(e->factory, 3, 2, {}, seed);
     }
   }
 }
 
-TEST(Rewind, NestedMarksMatchForkUnderCrashInjection) {
+TEST(Rewind, NestedMarksMatchReplayUnderCrashInjection) {
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(4)) {
     SCOPED_TRACE(e->info.name);
-    nested_marks_against_fork(e->factory, 4, 2, {{0, 3}, {2, 1}}, 7);
+    nested_marks_against_replay(e->factory, 4, 2, {{0, 3}, {2, 1}}, 7);
+  }
+}
+
+TEST(Rewind, TwoSessionMarksMatchReplayWithCrashesAndFieldWrites) {
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    struct Case {
+      const char* algorithm;
+      std::vector<CrashPlan> crashes;
+    };
+    // lamport-packed stores several logical registers in one word via
+    // write_field: sub-word stores must undo and fingerprint exactly.
+    const Case cases[] = {
+        {"lamport-fast", {{0, seed % 5}, {2, 1 + seed % 3}}},
+        {"lamport-packed", {{1, 2 + seed % 4}}},
+        {"thm3-exact-l2", {}},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.algorithm) + " seed " +
+                   std::to_string(seed));
+      const MutexFactory factory = registry.mutex(c.algorithm).factory;
+      mark_rewind_and_compare(factory, 4, 2, c.crashes, seed);
+      nested_marks_against_replay(factory, 4, 2, c.crashes, seed);
+    }
   }
 }
 
@@ -337,7 +408,7 @@ TEST(Rewind, NestedMarksUndoTheWriteOfAViolatingUnit) {
   };
   int violations = 0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    violations += nested_marks_against_fork(racy, 3, 3, {{1, 4}}, seed);
+    violations += nested_marks_against_replay(racy, 3, 3, {{1, 4}}, seed);
   }
   EXPECT_GT(violations, 0);
 }
@@ -354,13 +425,14 @@ void expect_same_report(const ComplexityReport& a, const ComplexityReport& b) {
 }
 
 /// The from-scratch reference search: a plain DFS over every runnable
-/// pick up to `max_depth`, where every child is a fresh Sim::fork of its
-/// parent's schedule (setup + full replay) carrying a copy of the parent's
-/// accumulator. No marks, no rewind, no visited cache, no reduction: it
-/// shares only the simulator and the objective with the Explorer.
-class ForkOracle {
+/// pick up to `max_depth`, where every child is a fresh replay of its
+/// parent's schedule (setup + step-by-step replay) carrying a copy of the
+/// parent's accumulator. No marks, no rewind, no visited cache, no
+/// reduction: it shares only the simulator and the objective with the
+/// Explorer.
+class ReplayOracle {
  public:
-  explicit ForkOracle(const Explorer::Config& cfg) : cfg_(cfg) {}
+  explicit ReplayOracle(const Explorer::Config& cfg) : cfg_(cfg) {}
 
   void run() {
     Sim root;
@@ -408,13 +480,11 @@ class ForkOracle {
         continue;
       }
       std::shared_ptr<void> owner;
-      const SimBuilder rebuild = [&](Sim& s) {
+      const Rebuild rebuild = [&](Sim& s) {
         owner = cfg_.setup(s);
         s.set_trace_recording(false);
       };
-      const std::unique_ptr<Sim> child =
-          Sim::fork(std::span(sim.schedule_log()), /*expect_fingerprint=*/0,
-                    /*expect_seq=*/0, rebuild);
+      const std::unique_ptr<Sim> child = replay(rebuild, sim.schedule_log());
       MeasureAccumulator child_acc = acc;
       child->add_sink(child_acc);
       try {
@@ -441,7 +511,7 @@ void expect_explorer_matches_oracle(Explorer::Config cfg) {
     ReductionPolicy policy;
     bool prune;
   };
-  ForkOracle oracle(cfg);
+  ReplayOracle oracle(cfg);
   oracle.run();
   ASSERT_FALSE(oracle.best.empty());
   for (const Variant v :
@@ -497,7 +567,7 @@ Explorer::Config mutex_config(const MutexFactory& factory, int n, int depth,
   return cfg;
 }
 
-TEST(Rewind, ExplorerMatchesForkOracleAcrossAllRegistryMutexAlgorithms) {
+TEST(Rewind, ExplorerMatchesReplayOracleAcrossAllRegistryMutexAlgorithms) {
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(2)) {
     SCOPED_TRACE(e->info.name);
@@ -505,7 +575,7 @@ TEST(Rewind, ExplorerMatchesForkOracleAcrossAllRegistryMutexAlgorithms) {
   }
 }
 
-TEST(Rewind, ExplorerMatchesForkOracleForDetectors) {
+TEST(Rewind, ExplorerMatchesReplayOracleForDetectors) {
   // The detector worst-case objective: whole-run totals, max over
   // processes, pruned on the default (whole-accumulator) digest.
   for (const DetectorAlgorithmEntry* e :
@@ -530,7 +600,7 @@ TEST(Rewind, ExplorerMatchesForkOracleForDetectors) {
   }
 }
 
-TEST(Rewind, ExplorerMatchesForkOracleUnderCrashInjection) {
+TEST(Rewind, ExplorerMatchesReplayOracleUnderCrashInjection) {
   // Crash plans set at setup are part of the rewind baseline; marks must
   // reproduce crashes mid-search exactly as a from-scratch replay does.
   expect_explorer_matches_oracle(mutex_config(
