@@ -43,16 +43,16 @@ StudySpec peterson_exhaustive(int depth) {
       .depth(depth);
 }
 
-/// The MutexWcTask objective (clean-entry + exit window maxima), stated
-/// directly so this bench can drive the Explorer itself and read the
-/// restore-cost counters that StudyResult does not carry.
+/// The mutex worst-case objective of the study layer (clean-entry + exit
+/// window maxima), stated directly so this bench can drive the Explorer
+/// itself and read the restore-cost counters that StudyResult does not
+/// carry.
 Explorer::Config peterson_config(
     int depth, ReductionPolicy reduction = ReductionPolicy::Off) {
   const MutexFactory make =
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
   Explorer::Config cfg;
   cfg.nprocs = 2;
-  cfg.strategy = SearchStrategy::Exhaustive;
   cfg.limits.max_depth = depth;
   cfg.limits.reduction = reduction;
   cfg.setup = [make](Sim& sim) -> std::shared_ptr<void> {
@@ -81,7 +81,6 @@ Explorer::Config tree_dpor_config(int depth) {
       AlgorithmRegistry::instance().mutex("peterson-tree").factory;
   Explorer::Config cfg;
   cfg.nprocs = 4;
-  cfg.strategy = SearchStrategy::Exhaustive;
   cfg.limits.max_depth = depth;
   cfg.limits.reduction = ReductionPolicy::SourceDpor;
   cfg.setup = [make](Sim& sim) -> std::shared_ptr<void> {

@@ -13,20 +13,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "por/dependence.h"
-#include "por/sleep_sets.h"
 #include "por/source_dpor.h"
 
 namespace cfc {
-
-const char* name(SearchStrategy s) {
-  switch (s) {
-    case SearchStrategy::Exhaustive:
-      return "exhaustive";
-    case SearchStrategy::Random:
-      return "random";
-  }
-  return "unknown";
-}
 
 const char* name(ReductionPolicy p) {
   switch (p) {
@@ -48,27 +37,17 @@ std::optional<ReductionPolicy> reduction_policy_from(std::string_view s) {
   return std::nullopt;
 }
 
-std::span<const ExploreStatsField> explore_stats_fields() {
-#define CFC_STATS_FIELD(field) ExploreStatsField{#field, &ExploreStats::field},
-  static constexpr ExploreStatsField kFields[] = {
-      CFC_EXPLORE_STATS_COUNTERS(CFC_STATS_FIELD)};
-#undef CFC_STATS_FIELD
-  return kFields;
-}
-
-void ExploreStats::merge(const ExploreStats& o) {
-  for (const ExploreStatsField& f : explore_stats_fields()) {
-    this->*f.member += o.*f.member;
-  }
-  truncated = truncated || o.truncated;
-  state_budget_hit = state_budget_hit || o.state_budget_hit;
-  frontier_clamped = frontier_clamped || o.frontier_clamped;
-}
-
 namespace {
 
+/// Every u64 counter of ExploreStats, generated from
+/// CFC_EXPLORE_STATS_COUNTERS in declaration order.
+#define CFC_STATS_MEMBER(field) &ExploreStats::field,
+constexpr std::uint64_t ExploreStats::*kStatsCounters[] = {
+    CFC_EXPLORE_STATS_COUNTERS(CFC_STATS_MEMBER)};
+#undef CFC_STATS_MEMBER
+
 /// Index-wise max_with reduction of objective report vectors (the single
-/// definition behind leaf accumulation and the item reductions).
+/// definition behind leaf accumulation and Result::merge).
 void merge_best(std::vector<ComplexityReport>& best,
                 const std::vector<ComplexityReport>& leaf) {
   if (leaf.empty()) {
@@ -84,16 +63,23 @@ void merge_best(std::vector<ComplexityReport>& best,
   }
 }
 
-/// Per-work-item result slot (the planner has one too); reduced in item
-/// index order afterwards.
-struct ItemResult {
-  ExploreStats stats;
-  std::vector<ComplexityReport> best;
+}  // namespace
 
-  void take_leaf(const std::vector<ComplexityReport>& leaf) {
-    merge_best(best, leaf);
+void ExploreStats::merge(const ExploreStats& o) {
+  for (std::uint64_t ExploreStats::*counter : kStatsCounters) {
+    this->*counter += o.*counter;
   }
-};
+  truncated = truncated || o.truncated;
+  state_budget_hit = state_budget_hit || o.state_budget_hit;
+  frontier_clamped = frontier_clamped || o.frontier_clamped;
+}
+
+void Explorer::Result::merge(const Result& o) {
+  stats.merge(o.stats);
+  merge_best(best, o.best);
+}
+
+namespace {
 
 /// One unit of the parallel DFS: a realizable, violation-free schedule
 /// prefix of planner picks (the `len` picks at offset `begin` of the
@@ -158,7 +144,7 @@ class DfsEngine {
   /// planner branch, or asleep and therefore covered by a same-length
   /// explored reordering (the classic sleep-set argument).
   void plan(int horizon, std::vector<Pid>& prefixes,
-            std::vector<WorkItem>& items, ItemResult& out) {
+            std::vector<WorkItem>& items, Explorer::Result& out) {
     out_ = &out;
     begin_metrics();
     horizon_ = horizon;
@@ -185,7 +171,7 @@ class DfsEngine {
   /// part of claiming the item, not a sibling backtrack, so it counts into
   /// no restore counter.
   void run_item(const WorkItem& item, const std::vector<Pid>& prefixes,
-                ItemResult& out) {
+                Explorer::Result& out) {
     out_ = &out;
     begin_metrics();
     sim_->rewind_to_mark(base_mark_);
@@ -338,7 +324,7 @@ class DfsEngine {
     if (truncated) {
       acc_.mark_truncated();  // cleared by the next backtrack restore
     }
-    out_->take_leaf(cfg_.objective.eval(*sim_, acc_));
+    merge_best(out_->best, cfg_.objective.eval(*sim_, acc_));
   }
 
   void leaf_completed() {
@@ -573,10 +559,9 @@ class DfsEngine {
       if (!violated) {
         std::uint32_t child_sleep = 0;
         if constexpr (Reduce) {
-          child_sleep = transfer_sleep(SleepSet(sleep & ~bit(p)),
+          child_sleep = transfer_sleep(sleep & ~bit(p),
                                        sim_->last_step_summary(),
-                                       pend_at(depth))
-                            .mask();
+                                       pend_at(depth));
         }
         if constexpr (R == Role::Planner) {
           path_.push_back(p);
@@ -635,7 +620,7 @@ class DfsEngine {
   }
 
   const Explorer::Config& cfg_;
-  ItemResult* out_ = nullptr;
+  Explorer::Result* out_ = nullptr;
   std::unique_ptr<Sim> sim_;
   std::shared_ptr<void> owner_;
   MeasureAccumulator acc_;
@@ -678,18 +663,9 @@ Explorer::Explorer(Config cfg) : cfg_(std::move(cfg)) {
   if (cfg_.limits.max_depth < 0) {
     throw std::invalid_argument("Explorer: limits.max_depth must be >= 0");
   }
-  if (cfg_.limits.reduction == ReductionPolicy::SourceDpor &&
-      cfg_.strategy != SearchStrategy::Exhaustive) {
-    // The reduction prunes a DFS; a sampled schedule has nothing to prune.
-    throw std::invalid_argument(
-        "Explorer: partial-order reduction requires the Exhaustive "
-        "strategy");
-  }
-  if (cfg_.strategy == SearchStrategy::Exhaustive &&
-      cfg_.nprocs > kMaxPorProcs) {
+  if (cfg_.nprocs > kMaxPorProcs) {
     // The DFS keeps per-node process masks (branch sets, sleep sets).
-    throw std::invalid_argument(
-        "Explorer: Exhaustive searches support at most 32 processes");
+    throw std::invalid_argument("Explorer: nprocs must be <= 32");
   }
 }
 
@@ -736,13 +712,6 @@ int frontier_split_depth(int nprocs, const ExploreLimits& limits,
 }  // namespace
 
 Explorer::Result Explorer::run(ExperimentRunner* runner) const {
-  if (cfg_.strategy == SearchStrategy::Random) {
-    return run_random_strategy(runner);
-  }
-  return run_dfs(runner);
-}
-
-Explorer::Result Explorer::run_dfs(ExperimentRunner* runner) const {
   bool clamped = false;
   const int f = frontier_split_depth(cfg_.nprocs, cfg_.limits, clamped);
 
@@ -752,7 +721,7 @@ Explorer::Result Explorer::run_dfs(ExperimentRunner* runner) const {
   // the calling thread runs it.
   std::vector<Pid> prefixes;  // every item's picks, back to back
   std::vector<WorkItem> items;
-  ItemResult planner_slot;
+  Explorer::Result planner_slot;
   {
     const obs::TraceSpan plan_span("explorer.plan");
     DfsEngine planner(cfg_);
@@ -784,7 +753,7 @@ Explorer::Result Explorer::run_dfs(ExperimentRunner* runner) const {
   // own Sim constructions, tallied once per worker like steals, so a
   // worker whose queue was stolen empty still reports its Sim) reflect the
   // pool size.
-  std::vector<ItemResult> slots(items.size());
+  std::vector<Explorer::Result> slots(items.size());
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> worker_sims{0};
   if (!items.empty()) {
@@ -810,7 +779,7 @@ Explorer::Result Explorer::run_dfs(ExperimentRunner* runner) const {
     }
     eng.parallel_for(workers, [&](std::size_t w) {
       DfsEngine engine(cfg_);
-      ItemResult local;  // worker-local: one hot cache line per worker
+      Explorer::Result local;  // worker-local: one hot cache line per worker
       std::uint64_t local_steals = 0;
       for (;;) {
         std::size_t idx = items.size();
@@ -852,11 +821,9 @@ Explorer::Result Explorer::run_dfs(ExperimentRunner* runner) const {
   res.stats.frontier_clamped = clamped;
   {
     const obs::TraceSpan merge_span("explorer.merge");
-    res.stats.merge(planner_slot.stats);
-    merge_best(res.best, planner_slot.best);
-    for (const ItemResult& slot : slots) {  // item index order: deterministic
-      res.stats.merge(slot.stats);
-      merge_best(res.best, slot.best);
+    res.merge(planner_slot);
+    for (const Explorer::Result& slot : slots) {  // item order: deterministic
+      res.merge(slot);
     }
   }
   res.stats.steals += steals.load(std::memory_order_relaxed);
@@ -866,42 +833,6 @@ Explorer::Result Explorer::run_dfs(ExperimentRunner* runner) const {
     if (m.enabled()) {
       m.add(obs::Metric::steals, res.stats.steals);
     }
-  }
-  return res;
-}
-
-Explorer::Result Explorer::run_random_strategy(
-    ExperimentRunner* runner) const {
-  std::vector<ItemResult> slots(cfg_.seeds.size());
-  runner_or_shared(runner).parallel_for(
-      cfg_.seeds.size(), [&](std::size_t i) {
-        Sim sim;
-        const std::shared_ptr<void> owner = cfg_.setup(sim);
-        sim.set_trace_recording(false);
-        MeasureAccumulator acc(cfg_.nprocs);
-        sim.add_sink(acc);
-        RandomScheduler rnd(cfg_.seeds[i]);
-        const RunOutcome out =
-            drive(sim, rnd, RunLimits{cfg_.random_budget});
-        ItemResult& slot = slots[i];
-        slot.stats.sims_built += 1;
-        slot.stats.states_visited += sim.schedule_log().size();
-        if (out == RunOutcome::BudgetExhausted) {
-          acc.mark_truncated();
-          slot.stats.runs_truncated += 1;
-          slot.stats.truncated = true;
-        } else {
-          slot.stats.runs_completed += 1;
-        }
-        if (cfg_.objective.eval) {
-          slot.take_leaf(cfg_.objective.eval(sim, acc));
-        }
-      });
-
-  Result res;
-  for (const ItemResult& slot : slots) {
-    res.stats.merge(slot.stats);
-    merge_best(res.best, slot.best);
   }
   return res;
 }

@@ -5,29 +5,16 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <vector>
 
 #include "analysis/experiment_runner.h"
 #include "core/streaming_measures.h"
-#include "sched/sched.h"
 #include "sched/sim.h"
 
 namespace cfc {
 
-/// How a worst-case search walks the schedule space.
-enum class SearchStrategy : std::uint8_t {
-  /// Every interleaving within the depth bound — a *certified* bound over
-  /// all schedules of at most max_depth picks (hashed-state fidelity).
-  Exhaustive,
-  /// Seeded random schedules — the legacy sampler. A lower bound only.
-  Random,
-};
-
-[[nodiscard]] const char* name(SearchStrategy s);
-
-/// How an Exhaustive DFS reduces the schedule tree (src/por/). Both
+/// How the DFS reduces the schedule tree (src/por/). Both
 /// policies certify the same objective maxima — the reduction only skips
 /// schedules whose values are provably duplicated by an explored one —
 /// which the POR differential suite asserts for every registry algorithm.
@@ -69,8 +56,8 @@ struct ExploreLimits {
   /// covers a revisit that sleeps on a superset of its branches (under
   /// SourceDpor: stateful DPOR; unreduced, every sleep mask is 0).
   bool prune_visited = true;
-  /// The partial-order reduction applied to Exhaustive searches (src/por/;
-  /// see ReductionPolicy). Off by default at this layer; the Study layer
+  /// The partial-order reduction applied to the search (src/por/; see
+  /// ReductionPolicy). Off by default at this layer; the Study layer
   /// defaults its certified Exhaustive searches to SourceDpor. Under
   /// SourceDpor prune_visited selects the *sleep-set-aware* cache
   /// (stateful DPOR): a revisit is skipped only when a stored visit's sleep
@@ -82,12 +69,10 @@ struct ExploreLimits {
 };
 
 /// Every u64 counter of ExploreStats, one row each — the single
-/// enumeration behind the table-driven ExploreStats::merge and the
-/// name/member table the observability layer reads
-/// (explore_stats_fields()). A counter added here merges and exports
-/// without further edits; whether it joins the study JSON stays a
-/// separate, deliberate decision (CFC_STUDY_REDUCTION_COUNTERS in
-/// study.h).
+/// enumeration behind the table-driven ExploreStats::merge. A counter
+/// added here merges without further edits; whether it joins the study
+/// JSON stays a separate, deliberate decision
+/// (CFC_STUDY_REDUCTION_COUNTERS in study.h).
 #define CFC_EXPLORE_STATS_COUNTERS(X) \
   X(states_visited)                   \
   X(runs_completed)                   \
@@ -133,8 +118,7 @@ struct ExploreStats {
   /// from the bit-identity gates.
   std::uint64_t steals = 0;
   /// Sim constructions + setup executions, counted where each Sim is
-  /// built: one per DFS engine (restores rewind in place), one per Random
-  /// seed.
+  /// built: one per DFS engine (restores rewind in place).
   std::uint64_t sims_built = 0;
   std::uint64_t visited_bytes = 0;   ///< bytes reserved by the planner's cache
   /// Bytes of *live* planner-cache entries (occupied slots + live spill
@@ -160,17 +144,6 @@ struct ExploreStats {
   void merge(const ExploreStats& o);
 };
 
-/// Name + member-pointer row for one u64 counter of ExploreStats.
-struct ExploreStatsField {
-  const char* name;
-  std::uint64_t ExploreStats::*member;
-};
-
-/// The counter table generated from CFC_EXPLORE_STATS_COUNTERS, in
-/// declaration order. Backs merge() and lets tooling iterate the counters
-/// by name without hand-maintained lists.
-[[nodiscard]] std::span<const ExploreStatsField> explore_stats_fields();
-
 /// The measurement fields an exploration maximizes.
 struct ExploreObjective {
   /// Evaluated at every leaf (completed or truncated run); the explorer
@@ -190,9 +163,11 @@ struct ExploreObjective {
   std::function<std::uint64_t(const MeasureAccumulator&)> digest;
 };
 
-/// A DFS over scheduler choices with configurable budgets, mark-based
-/// backtracking, and visited-state pruning — the schedule-space exploration
-/// engine behind the certified worst-case searches.
+/// A depth-bounded DFS over scheduler choices with configurable budgets,
+/// mark-based backtracking, and visited-state pruning — the schedule-space
+/// exploration engine behind the certified worst-case searches, and its
+/// only search. (Seeded random sampling, a lower bound only, is not an
+/// Explorer search: the study layer runs it, one Sim per seed.)
 ///
 /// Mechanics: the explorer keeps ONE live simulation per engine (the
 /// planner and each pool worker) and descends by stepping it, ordering
@@ -233,10 +208,7 @@ class Explorer {
   struct Config {
     int nprocs = 0;             ///< processes the setup spawns
     SetupFn setup;              ///< registers + processes + sim config
-    SearchStrategy strategy = SearchStrategy::Exhaustive;
-    ExploreLimits limits;       ///< DFS budgets (Exhaustive)
-    std::vector<std::uint64_t> seeds;  ///< Random: one run per seed
-    std::uint64_t random_budget = 200'000;  ///< Random: steps per run
+    ExploreLimits limits;       ///< DFS budgets
     ExploreObjective objective;
   };
 
@@ -246,25 +218,26 @@ class Explorer {
     /// vector; empty when no leaf was evaluated or eval is null. Reports
     /// carry truncated=true when any contributing run was cut off.
     std::vector<ComplexityReport> best;
+
+    /// Folds `o` in: stats.merge, then the index-wise max_with of `best`
+    /// (the one reduction behind work items and the study layer's seeded
+    /// cells).
+    void merge(const Result& o);
   };
 
-  /// Throws std::invalid_argument on an invalid configuration. Exhaustive
-  /// searches keep per-process bitmasks, so they take at most 32
-  /// processes; Random takes any process count.
+  /// Throws std::invalid_argument on an invalid configuration. The search
+  /// keeps per-process bitmasks, so it takes at most 32 processes.
   explicit Explorer(Config cfg);
 
-  /// Runs the exploration. `runner == nullptr` uses the shared pool.
+  /// Runs the search: a sequential planner fans the top f levels into
+  /// self-contained work items, executed by a work-stealing worker pool;
+  /// results merge in item index order, so everything except
+  /// steals/sims_built is bit-identical at every thread count. sims_built
+  /// is exactly 1 + min(work items, threads). `runner == nullptr` uses the
+  /// shared pool.
   [[nodiscard]] Result run(ExperimentRunner* runner = nullptr) const;
 
  private:
-  [[nodiscard]] Result run_random_strategy(ExperimentRunner* runner) const;
-  /// Every Exhaustive search: a sequential planner fans the
-  /// top f levels into self-contained work items, executed by a
-  /// work-stealing worker pool; results merge in item index order, so
-  /// everything except steals/sims_built is bit-identical at every thread
-  /// count. sims_built is exactly 1 + min(work items, threads).
-  [[nodiscard]] Result run_dfs(ExperimentRunner* runner) const;
-
   Config cfg_;
 };
 

@@ -23,6 +23,16 @@
 
 namespace cfc {
 
+const char* name(SearchStrategy s) {
+  switch (s) {
+    case SearchStrategy::Exhaustive:
+      return "exhaustive";
+    case SearchStrategy::Random:
+      return "random";
+  }
+  return "unknown";
+}
+
 const char* name(StudyKind k) {
   switch (k) {
     case StudyKind::Mutex:
@@ -193,28 +203,6 @@ class MeasureTask {
   std::atomic<std::int64_t> ns_{0};
 };
 
-/// Copies the Explorer run statistics shared by every worst-case task —
-/// including the single definition of the `certified` invariant.
-void fill_search_stats(StudyResult& out, const Explorer::Result& r,
-                       const WorstCaseSearchOptions& options) {
-  out.wc_strategy = options.strategy;
-  // Random runs no DFS and hence no reduction.
-  out.wc_reduction = options.strategy == SearchStrategy::Random
-                         ? ReductionPolicy::Off
-                         : options.limits.reduction;
-#define CFC_COPY_COUNTER(field, json_key, stats_member, required) \
-  out.field = r.stats.stats_member;
-  CFC_STUDY_REDUCTION_COUNTERS(CFC_COPY_COUNTER)
-#undef CFC_COPY_COUNTER
-  out.frontier_clamped = r.stats.frontier_clamped;
-  out.schedules_tried = r.stats.runs_completed + r.stats.runs_truncated;
-  out.states_visited = r.stats.states_visited;
-  out.violations = r.stats.violations;
-  out.truncated = out.truncated || r.stats.truncated;
-  out.certified = options.strategy != SearchStrategy::Random &&
-                  !r.stats.state_budget_hit;
-}
-
 /// Mutex contention-free measurement (Section 2.2): one solo session per
 /// measured pid, each a cell; max over pids.
 class MutexCfTask final : public MeasureTask {
@@ -287,78 +275,6 @@ class MutexCfTask final : public MeasureTask {
   int atomicity_ = 0;
 };
 
-/// Mutex worst-case search: one cell running the schedule-space Explorer
-/// (which fans its own frontier/seed cells over the same runner — the
-/// ExperimentRunner is nestable and caller-participating).
-class MutexWcTask final : public MeasureTask {
- public:
-  MutexWcTask(MutexFactory make, int n, int sessions,
-              WorstCaseSearchOptions options)
-      : make_(std::move(make)),
-        n_(n),
-        sessions_(sessions),
-        options_(std::move(options)) {}
-
-  [[nodiscard]] std::size_t cell_count() const override { return 1; }
-
-  void measure_cell(std::size_t, ExperimentRunner& runner) override {
-    Explorer::Config cfg;
-    cfg.nprocs = n_;
-    cfg.strategy = options_.strategy;
-    cfg.limits = options_.limits;
-    cfg.seeds = options_.seeds;
-    cfg.random_budget = options_.budget_per_run;
-    const MutexFactory make = make_;
-    const int n = n_;
-    const int sessions = sessions_;
-    const std::vector<std::uint64_t> crash = options_.crash_after;
-    cfg.setup = [make, n, sessions, crash](Sim& sim) -> std::shared_ptr<void> {
-      auto alg = setup_mutex(sim, make, n, sessions);
-      for (std::size_t p = 0; p < crash.size(); ++p) {
-        sim.crash_after(static_cast<Pid>(p), crash[p]);
-      }
-      return alg;
-    };
-    // Objective: maximize the clean-entry and exit window maxima over all
-    // processes. Monotone along a run (window maxima never decrease); its
-    // pruning digest is the window digest — whole-run totals are
-    // irrelevant to it.
-    cfg.objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
-      ComplexityReport entry;
-      ComplexityReport exit;
-      for (Pid pid = 0; pid < n; ++pid) {
-        entry = entry.max_with(acc.clean_entry_max(pid));
-        exit = exit.max_with(acc.exit_max(pid));
-      }
-      return std::vector<ComplexityReport>{entry, exit};
-    };
-    cfg.objective.digest = [](const MeasureAccumulator& acc) {
-      return acc.window_digest();
-    };
-    const Explorer explorer(std::move(cfg));
-    result_ = explorer.run(&runner);
-  }
-
-  void reduce() override {}
-
-  void apply(StudyResult& out) const override {
-    out.has_wc = true;
-    if (result_.best.size() >= 2) {
-      out.wc_entry = result_.best[0];
-      out.wc_exit = result_.best[1];
-    }
-    out.wc = out.wc_entry.plus(out.wc_exit);
-    fill_search_stats(out, result_, options_);
-  }
-
- private:
-  MutexFactory make_;
-  int n_;
-  int sessions_;
-  WorstCaseSearchOptions options_;
-  Explorer::Result result_;
-};
-
 /// One solo run of process `solo` of an n-process detector, measured
 /// streaming: the max whole-run complexity over all processes, `truncated`
 /// set on budget exhaustion. Verifies that the solo process outputs 1
@@ -420,58 +336,157 @@ class DetectorCfTask final : public MeasureTask {
   ComplexityReport best_;
 };
 
-/// Detector worst-case search: one Explorer cell over whole-run totals.
-class DetectorWcTask final : public MeasureTask {
+/// Mutex objective: the clean-entry and exit window maxima over all
+/// processes. Monotone along a run (window maxima never decrease); its
+/// pruning digest is the window digest — whole-run totals are irrelevant
+/// to it.
+ExploreObjective window_objective(int n) {
+  ExploreObjective objective;
+  objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
+    ComplexityReport entry;
+    ComplexityReport exit;
+    for (Pid pid = 0; pid < n; ++pid) {
+      entry = entry.max_with(acc.clean_entry_max(pid));
+      exit = exit.max_with(acc.exit_max(pid));
+    }
+    return std::vector<ComplexityReport>{entry, exit};
+  };
+  objective.digest = [](const MeasureAccumulator& acc) {
+    return acc.window_digest();
+  };
+  return objective;
+}
+
+void apply_windows(StudyResult& out,
+                   const std::vector<ComplexityReport>& best) {
+  if (best.size() >= 2) {
+    out.wc_entry = best[0];
+    out.wc_exit = best[1];
+  }
+  out.wc = out.wc_entry.plus(out.wc_exit);
+}
+
+/// Detector objective: the whole-run max over all processes. The default
+/// accumulator digest (which covers the totals) is the sound pruning key,
+/// so the digest stays unset.
+ExploreObjective total_objective(int n) {
+  ExploreObjective objective;
+  objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
+    ComplexityReport best;
+    for (Pid pid = 0; pid < n; ++pid) {
+      best = best.max_with(acc.total(pid));
+    }
+    return std::vector<ComplexityReport>{best};
+  };
+  return objective;
+}
+
+void apply_total(StudyResult& out, const std::vector<ComplexityReport>& best) {
+  if (!best.empty()) {
+    out.wc = best[0];
+  }
+}
+
+/// Worst-case search, for every kind that has one (naming runs its fixed
+/// battery in NamingTask instead). Takes the subject's setup, to which it
+/// appends the search's crash injection, the objective to maximize, and
+/// `apply`, which maps the objective's index-wise maxima into the result.
+///
+/// Exhaustive is one cell running the schedule-space Explorer, which fans
+/// its own work items over the same runner (the ExperimentRunner is
+/// nestable and caller-participating). Random is one cell per seed: a Sim
+/// driven by RandomScheduler(seed) for at most budget_per_run picks and
+/// evaluated like a DFS leaf. Either way the cells reduce in index (seed)
+/// order with Explorer::Result::merge.
+class WorstCaseTask final : public MeasureTask {
  public:
-  DetectorWcTask(DetectorFactory make, int n, WorstCaseSearchOptions options)
-      : make_(std::move(make)), n_(n), options_(std::move(options)) {}
+  using Apply = void (*)(StudyResult&, const std::vector<ComplexityReport>&);
 
-  [[nodiscard]] std::size_t cell_count() const override { return 1; }
-
-  void measure_cell(std::size_t, ExperimentRunner& runner) override {
-    Explorer::Config cfg;
-    cfg.nprocs = n_;
-    cfg.strategy = options_.strategy;
-    cfg.limits = options_.limits;
-    cfg.seeds = options_.seeds;
-    cfg.random_budget = options_.budget_per_run;
-    const DetectorFactory make = make_;
-    const int n = n_;
-    const std::vector<std::uint64_t> crash = options_.crash_after;
-    cfg.setup = [make, n, crash](Sim& sim) -> std::shared_ptr<void> {
-      auto alg = setup_detection(sim, make, n);
+  /// Throws std::invalid_argument for a Random search that asks for a
+  /// partial-order reduction: a sampled schedule has nothing to prune.
+  WorstCaseTask(int n, Explorer::SetupFn setup, ExploreObjective objective,
+                Apply apply, WorstCaseSearchOptions options)
+      : apply_(apply), options_(std::move(options)) {
+    const bool exhaustive = options_.strategy == SearchStrategy::Exhaustive;
+    if (!exhaustive && options_.limits.reduction != ReductionPolicy::Off) {
+      throw std::invalid_argument(
+          "partial-order reduction requires the Exhaustive strategy");
+    }
+    cfg_.nprocs = n;
+    cfg_.setup = [setup = std::move(setup), crash = options_.crash_after](
+                     Sim& sim) {
+      std::shared_ptr<void> alg = setup(sim);
       for (std::size_t p = 0; p < crash.size(); ++p) {
         sim.crash_after(static_cast<Pid>(p), crash[p]);
       }
       return alg;
     };
-    cfg.objective.eval = [n](const Sim&, const MeasureAccumulator& acc) {
-      ComplexityReport best;
-      for (Pid pid = 0; pid < n; ++pid) {
-        best = best.max_with(acc.total(pid));
-      }
-      return std::vector<ComplexityReport>{best};
-    };
-    // Whole-run totals objective: the default accumulator digest (which
-    // covers the totals) is the sound pruning key, so leave it unset.
-    const Explorer explorer(std::move(cfg));
-    result_ = explorer.run(&runner);
+    cfg_.limits = options_.limits;
+    cfg_.objective = std::move(objective);
+    cells_.resize(exhaustive ? 1 : options_.seeds.size());
   }
 
-  void reduce() override {}
+  [[nodiscard]] std::size_t cell_count() const override {
+    return cells_.size();
+  }
+
+  void measure_cell(std::size_t i, ExperimentRunner& runner) override {
+    if (options_.strategy == SearchStrategy::Exhaustive) {
+      cells_[i] = Explorer(cfg_).run(&runner);
+      return;
+    }
+    Sim sim;
+    const std::shared_ptr<void> owner = cfg_.setup(sim);
+    sim.set_trace_recording(false);
+    MeasureAccumulator acc(cfg_.nprocs);
+    sim.add_sink(acc);
+    RandomScheduler rnd(options_.seeds[i]);
+    const RunOutcome outcome =
+        drive(sim, rnd, RunLimits{options_.budget_per_run});
+    ExploreStats& stats = cells_[i].stats;
+    stats.states_visited = sim.schedule_log().size();
+    if (outcome == RunOutcome::BudgetExhausted) {
+      acc.mark_truncated();
+      stats.runs_truncated = 1;
+      stats.truncated = true;
+    } else {
+      stats.runs_completed = 1;
+    }
+    cells_[i].best = cfg_.objective.eval(sim, acc);
+  }
+
+  void reduce() override {
+    for (const Explorer::Result& cell : cells_) {  // index order
+      result_.merge(cell);
+    }
+  }
 
   void apply(StudyResult& out) const override {
     out.has_wc = true;
-    if (!result_.best.empty()) {
-      out.wc = result_.best[0];
-    }
-    fill_search_stats(out, result_, options_);
+    apply_(out, result_.best);
+    const ExploreStats& s = result_.stats;
+    out.wc_strategy = options_.strategy;
+    // Random runs no DFS and hence no reduction (the constructor refuses
+    // one), so its policy is Off and its counters are zero.
+    out.wc_reduction = options_.limits.reduction;
+#define CFC_COPY_COUNTER(field, json_key, stats_member, required) \
+  out.field = s.stats_member;
+    CFC_STUDY_REDUCTION_COUNTERS(CFC_COPY_COUNTER)
+#undef CFC_COPY_COUNTER
+    out.frontier_clamped = s.frontier_clamped;
+    out.schedules_tried = s.runs_completed + s.runs_truncated;
+    out.states_visited = s.states_visited;
+    out.violations = s.violations;
+    out.truncated = out.truncated || s.truncated;
+    out.certified = options_.strategy == SearchStrategy::Exhaustive &&
+                    !s.state_budget_hit;
   }
 
  private:
-  DetectorFactory make_;
-  int n_;
+  Explorer::Config cfg_;
+  Apply apply_;
   WorstCaseSearchOptions options_;
+  std::vector<Explorer::Result> cells_;
   Explorer::Result result_;
 };
 
@@ -596,6 +611,27 @@ struct ResolvedSubject {
   bool from_registry = false;  ///< dedup-eligible across campaign specs
 };
 
+/// One kind's resolution: the ad-hoc factory when set, else the registry's
+/// (`lookup`); then a capacity probe and the display name.
+template <typename Factory, typename Lookup>
+Factory resolve_factory(const StudySpec& spec, const Factory& adhoc,
+                        Lookup lookup, ResolvedSubject& r) {
+  Factory make = adhoc;
+  if (!make) {
+    make = lookup(spec.subject_name);
+    r.from_registry = true;
+  }
+  Sim probe;
+  auto alg = make(probe.memory(), spec.procs);
+  if (alg->capacity() < spec.procs) {
+    throw std::invalid_argument(std::string(name(spec.study_kind)) +
+                                " capacity below process count");
+  }
+  r.name = spec.subject_name.empty() ? alg->algorithm_name()
+                                     : spec.subject_name;
+  return make;
+}
+
 /// Resolves the spec's subject (ad-hoc factory or registry lookup) and
 /// validates capacity on the calling thread, so misconfiguration surfaces
 /// as the documented exception rather than through the pool. The probe
@@ -604,54 +640,21 @@ ResolvedSubject resolve(const StudySpec& spec) {
   ResolvedSubject r;
   const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
   switch (spec.study_kind) {
-    case StudyKind::Mutex: {
-      if (spec.adhoc_mutex) {
-        r.mutex = spec.adhoc_mutex;
-      } else {
-        r.mutex = registry.mutex(spec.subject_name).factory;
-        r.from_registry = true;
-      }
-      Sim probe;
-      auto alg = r.mutex(probe.memory(), spec.procs);
-      if (alg->capacity() < spec.procs) {
-        throw std::invalid_argument("mutex capacity below process count");
-      }
-      r.name = spec.subject_name.empty() ? alg->algorithm_name()
-                                         : spec.subject_name;
+    case StudyKind::Mutex:
+      r.mutex = resolve_factory(
+          spec, spec.adhoc_mutex,
+          [&](const auto& s) { return registry.mutex(s).factory; }, r);
       break;
-    }
-    case StudyKind::Naming: {
-      if (spec.adhoc_naming) {
-        r.naming = spec.adhoc_naming;
-      } else {
-        r.naming = registry.naming(spec.subject_name).factory;
-        r.from_registry = true;
-      }
-      Sim probe;
-      auto alg = r.naming(probe.memory(), spec.procs);
-      if (alg->capacity() < spec.procs) {
-        throw std::invalid_argument("naming capacity below process count");
-      }
-      r.name = spec.subject_name.empty() ? alg->algorithm_name()
-                                         : spec.subject_name;
+    case StudyKind::Naming:
+      r.naming = resolve_factory(
+          spec, spec.adhoc_naming,
+          [&](const auto& s) { return registry.naming(s).factory; }, r);
       break;
-    }
-    case StudyKind::Detector: {
-      if (spec.adhoc_detector) {
-        r.detector = spec.adhoc_detector;
-      } else {
-        r.detector = registry.detector(spec.subject_name).factory;
-        r.from_registry = true;
-      }
-      Sim probe;
-      auto alg = r.detector(probe.memory(), spec.procs);
-      if (alg->capacity() < spec.procs) {
-        throw std::invalid_argument("detector capacity below process count");
-      }
-      r.name = spec.subject_name.empty() ? alg->algorithm_name()
-                                         : spec.subject_name;
+    case StudyKind::Detector:
+      r.detector = resolve_factory(
+          spec, spec.adhoc_detector,
+          [&](const auto& s) { return registry.detector(s).factory; }, r);
       break;
-    }
   }
   return r;
 }
@@ -798,8 +801,14 @@ std::vector<StudyResult> Campaign::run(ExperimentRunner* runner,
               keyed("wc|sessions=" + std::to_string(spec.mutex_sessions) +
                     '|' + search_key(spec.search)),
               [&] {
-                return std::make_unique<MutexWcTask>(
-                    subject.mutex, spec.procs, spec.mutex_sessions,
+                return std::make_unique<WorstCaseTask>(
+                    spec.procs,
+                    [make = subject.mutex, n = spec.procs,
+                     sessions = spec.mutex_sessions](
+                        Sim& sim) -> std::shared_ptr<void> {
+                      return setup_mutex(sim, make, n, sessions);
+                    },
+                    window_objective(spec.procs), apply_windows,
                     spec.search);
               });
         }
@@ -828,12 +837,16 @@ std::vector<StudyResult> Campaign::run(ExperimentRunner* runner,
           });
         }
         if (spec.want_wc) {
-          bindings[i].wc = intern(keyed("wc|" + search_key(spec.search)),
-                                  [&] {
-                                    return std::make_unique<DetectorWcTask>(
-                                        subject.detector, spec.procs,
-                                        spec.search);
-                                  });
+          bindings[i].wc = intern(
+              keyed("wc|" + search_key(spec.search)), [&] {
+                return std::make_unique<WorstCaseTask>(
+                    spec.procs,
+                    [make = subject.detector,
+                     n = spec.procs](Sim& sim) -> std::shared_ptr<void> {
+                      return setup_detection(sim, make, n);
+                    },
+                    total_objective(spec.procs), apply_total, spec.search);
+              });
         }
         break;
       }
@@ -1160,7 +1173,12 @@ StudyResult study_from_json(const std::string& payload) {
       // The counters come from the one table in study.h. Required keys
       // date back to the first POR payloads; the rest were added later
       // and stay optional so older payloads keep parsing as zero.
-#define CFC_PARSE_COUNTER(field, json_key, stats_member, required)       if (required) {                                                          r.field = json::to_u64(json::member(*red, json_key));                } else if (const json::Node* node = red->find(json_key)) {               r.field = json::to_u64(*node);                                       }
+#define CFC_PARSE_COUNTER(field, json_key, stats_member, required) \
+  if (required) {                                                   \
+    r.field = json::to_u64(json::member(*red, json_key));           \
+  } else if (const json::Node* node = red->find(json_key)) {        \
+    r.field = json::to_u64(*node);                                  \
+  }
       CFC_STUDY_REDUCTION_COUNTERS(CFC_PARSE_COUNTER)
 #undef CFC_PARSE_COUNTER
       // "requested" is optional (older payloads lack it) and, when

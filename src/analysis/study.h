@@ -34,19 +34,35 @@ enum class StudyKind : std::uint8_t { Mutex, Naming, Detector };
 
 [[nodiscard]] const char* name(StudyKind k);
 
+/// How a worst-case search walks the schedule space.
+enum class SearchStrategy : std::uint8_t {
+  /// Every interleaving within the depth bound — a *certified* bound over
+  /// all schedules of at most max_depth picks (hashed-state fidelity). Runs
+  /// the schedule-space Explorer.
+  Exhaustive,
+  /// Seeded random schedules — the legacy sampler. A lower bound only.
+  Random,
+};
+
+[[nodiscard]] const char* name(SearchStrategy s);
+
 /// How to search for worst cases: the strategy plus its budgets. The
 /// Exhaustive strategy runs the schedule-space Explorer (DFS with
-/// mark-based backtracking and visited-state pruning); Random is the
-/// legacy seeded sampler. (Naming studies instead run the fixed adversary
-/// battery — sequential, round-robin, the Theorem 6 lockstep adversary —
-/// plus one random schedule per seed; strategy and limits are ignored.)
+/// mark-based backtracking and visited-state pruning) in one campaign
+/// cell. Random is the legacy seeded sampler and runs no Explorer: each
+/// seed is its own campaign cell, one Sim driven by a RandomScheduler, and
+/// the cells reduce in seed order. (Naming studies instead run the fixed
+/// adversary battery — sequential, round-robin, the Theorem 6 lockstep
+/// adversary — plus one random schedule per seed; strategy and limits are
+/// ignored.)
 struct WorstCaseSearchOptions {
   SearchStrategy strategy = SearchStrategy::Random;
   /// Random: one run per seed, each `budget_per_run` picks long.
   std::vector<std::uint64_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8};
   std::uint64_t budget_per_run = 200'000;
   /// Exhaustive: the DFS budgets (including limits.reduction, the
-  /// partial-order-reduction policy).
+  /// partial-order-reduction policy). A Random search must leave the
+  /// reduction Off: Campaign::run rejects it with std::invalid_argument.
   ExploreLimits limits;
   /// Crash injection, applied after the subject's setup: process p crashes
   /// at its crash_after[p]-th access attempt (Sim::crash_after). An empty

@@ -11,8 +11,7 @@
 namespace cfc {
 
 /// A copy of every register's current value, in register-id order (one
-/// Value per register). Sim checkpoints and forks verify a replay against
-/// it.
+/// Value per register), for comparing whole register states.
 using MemorySnapshot = std::vector<Value>;
 
 /// The shared memory of a simulated system: a set of named registers, each
@@ -63,7 +62,8 @@ class RegisterFile {
   /// 64-bit incremental hash of the current (register, value) set,
   /// maintained O(1) per mutation. Two register files with the same layout
   /// and the same values have equal fingerprints; used for visited-state
-  /// pruning and checkpoint-replay verification, not for equality proofs.
+  /// pruning and for checking Sim::rewind_to_mark's restored memory
+  /// against the mark, not for equality proofs.
   [[nodiscard]] std::uint64_t fingerprint() const { return fp_; }
 
   /// Largest value representable in register r.

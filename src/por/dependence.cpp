@@ -52,4 +52,18 @@ bool dependent(const StepSummary& taken, const NextStep& pend) {
          (taken.wrote || pend.wrote);
 }
 
+std::uint32_t transfer_sleep(std::uint32_t candidates,
+                             const StepSummary& taken,
+                             std::span<const NextStep> pends) {
+  std::uint32_t child = 0;
+  for (Pid q = 0; q < static_cast<Pid>(pends.size()); ++q) {
+    const std::uint32_t b = 1u << static_cast<unsigned>(q);
+    if ((candidates & b) != 0 &&
+        !dependent(taken, pends[static_cast<std::size_t>(q)])) {
+      child |= b;
+    }
+  }
+  return child;
+}
+
 }  // namespace cfc

@@ -1,12 +1,19 @@
 #ifndef CFC_POR_DEPENDENCE_H
 #define CFC_POR_DEPENDENCE_H
 
+#include <cstdint>
+#include <span>
+
 #include "memory/types.h"
 #include "sched/run.h"
 
 namespace cfc {
 
 class Sim;
+
+/// Sleep sets and branch sets are process bitmasks: plenty for every
+/// algorithm in the registry and checked by the Explorer constructor.
+inline constexpr int kMaxPorProcs = 32;
 
 /// --- The measurement-aware dependence relation. ---
 ///
@@ -82,6 +89,20 @@ struct NextStep {
 /// `dependent(taken, pend-with-worst-case-adjacency)` — dependent whenever
 /// the executed unit changed sections, or on a register conflict.
 [[nodiscard]] bool dependent(const StepSummary& taken, const NextStep& pend);
+
+/// Full sleep-set transfer (the measurement-aware relation). A sleep set
+/// is a process bitmask: the processes whose next unit, taken from the
+/// current state, starts only schedules that are reorderings of schedules
+/// already explored through an earlier sibling (Godefroid's sleep sets).
+/// Of the parent's sleepers and earlier-explored siblings (`candidates`),
+/// the child keeps asleep exactly those whose captured next step is
+/// independent of the unit just executed (`taken`) — a dependent step
+/// wakes the sleeper. `pends` holds every process's NextStep captured at
+/// the parent node, indexed by pid; the executing process itself must not
+/// be in `candidates`.
+[[nodiscard]] std::uint32_t transfer_sleep(std::uint32_t candidates,
+                                           const StepSummary& taken,
+                                           std::span<const NextStep> pends);
 
 }  // namespace cfc
 

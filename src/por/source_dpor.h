@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "por/dependence.h"
-#include "por/sleep_sets.h"
 
 namespace cfc {
 

@@ -28,7 +28,6 @@ void expect_all_interleavings_safe(const MutexFactory& make, int sessions,
                                    std::uint64_t truncated) {
   Explorer::Config cfg;
   cfg.nprocs = 2;
-  cfg.strategy = SearchStrategy::Exhaustive;
   cfg.limits.max_depth = depth;
   cfg.limits.prune_visited = false;
   cfg.limits.reduction = ReductionPolicy::Off;

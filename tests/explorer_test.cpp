@@ -143,7 +143,6 @@ TEST(Explorer, FindsMutualExclusionViolationInBrokenLock) {
        {ReductionPolicy::Off, ReductionPolicy::SourceDpor}) {
     Explorer::Config cfg;
     cfg.nprocs = 2;
-    cfg.strategy = SearchStrategy::Exhaustive;
     cfg.limits.max_depth = 10;
     cfg.limits.reduction = policy;
     cfg.setup = [&broken](Sim& sim) -> std::shared_ptr<void> {
@@ -251,7 +250,6 @@ Explorer::Config pinned_config(const TraversalPin& pin) {
   const bool crash = pin.crash;
   Explorer::Config cfg;
   cfg.nprocs = n;
-  cfg.strategy = SearchStrategy::Exhaustive;
   cfg.limits.max_depth = 12;
   cfg.limits.reduction = pin.reduction;
   cfg.limits.prune_visited = pin.prune;
@@ -350,7 +348,6 @@ TEST(Explorer, ConstructorRejectsInvalidConfigurations) {
     SCOPED_TRACE(c.what);
     Explorer::Config cfg;
     cfg.nprocs = 2;
-    cfg.strategy = SearchStrategy::Exhaustive;
     cfg.limits.max_depth = 4;
     cfg.setup = [](Sim& sim) -> std::shared_ptr<void> {
       return setup_mutex(sim, Peterson::factory(), 2, 1);
@@ -370,7 +367,6 @@ TEST(Explorer, NewCountersAreThreadInvariant) {
   ExperimentRunner par(4);
   Explorer::Config cfg;
   cfg.nprocs = 2;
-  cfg.strategy = SearchStrategy::Exhaustive;
   cfg.limits.max_depth = 14;
   cfg.setup = [](Sim& sim) -> std::shared_ptr<void> {
     return setup_mutex(sim, Peterson::factory(), 2, 1);

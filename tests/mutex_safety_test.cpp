@@ -54,7 +54,6 @@ std::vector<AlgCase> all_algorithms() {
 void expect_safe_and_live(const AlgCase& alg, int n, int depth) {
   Explorer::Config cfg;
   cfg.nprocs = n;
-  cfg.strategy = SearchStrategy::Exhaustive;
   cfg.limits.max_depth = depth;
   cfg.limits.reduction = ReductionPolicy::Off;
   cfg.setup = [make = alg.factory, n](Sim& sim) -> std::shared_ptr<void> {
@@ -98,7 +97,6 @@ TEST(LamportTreeSafety, FourProcessSearchReachesTheUpperNode) {
   const auto clean_entry_registers = [](int n, int depth) {
     Explorer::Config cfg;
     cfg.nprocs = n;
-    cfg.strategy = SearchStrategy::Exhaustive;
     cfg.limits.max_depth = depth;
     cfg.limits.reduction = ReductionPolicy::Off;
     cfg.setup = [n](Sim& sim) -> std::shared_ptr<void> {

@@ -20,7 +20,6 @@
 #include "core/algorithm_registry.h"
 #include "obs/trace.h"
 #include "por/dependence.h"
-#include "por/sleep_sets.h"
 #include "por/source_dpor.h"
 
 namespace cfc {
@@ -67,7 +66,6 @@ Explorer::Config explorer_config(const Explorer::SetupFn& setup, int n,
                                  int depth, ReductionPolicy policy) {
   Explorer::Config cfg;
   cfg.nprocs = n;
-  cfg.strategy = SearchStrategy::Exhaustive;
   cfg.limits.max_depth = depth;
   cfg.limits.reduction = policy;
   cfg.setup = setup;
@@ -453,26 +451,24 @@ TEST(PorSleepSets, TransferWakesOnConflictOnly) {
   pends[1].reg = 7;
   pends[2].known = true;
   pends[2].reg = 9;
-  SleepSet candidates;
-  candidates.insert(1);
-  candidates.insert(2);
+  const std::uint32_t candidates = 0b110;  // pids 1 and 2 asleep
 
   StepSummary write7;
   write7.pid = 0;
   write7.accessed = true;
   write7.reg = 7;
   write7.wrote = true;
-  const SleepSet after =
+  const std::uint32_t after =
       transfer_sleep(candidates, write7, std::span(pends.data(), 3));
-  EXPECT_FALSE(after.contains(1));  // conflicting sleeper woke
-  EXPECT_TRUE(after.contains(2));   // disjoint sleeper stays asleep
+  EXPECT_EQ(after & 0b010u, 0u);  // conflicting sleeper woke
+  EXPECT_NE(after & 0b100u, 0u);  // disjoint sleeper stays asleep
 
   StepSummary section_step;
   section_step.pid = 0;
   section_step.section_changed = true;
-  const SleepSet woken =
+  const std::uint32_t woken =
       transfer_sleep(candidates, section_step, std::span(pends.data(), 3));
-  EXPECT_TRUE(woken.empty());  // section changes wake every sleeper
+  EXPECT_EQ(woken, 0u);  // section changes wake every sleeper
 }
 
 // --- Observability is inert: tracing + progress heartbeats running over
@@ -519,18 +515,22 @@ TEST(PorStudyJson, ByteIdenticalWithObservabilityOn) {
   }
 }
 
-TEST(PorPolicy, RequiresExhaustiveStrategy) {
-  Explorer::Config cfg;
-  cfg.nprocs = 2;
-  cfg.strategy = SearchStrategy::Random;
-  cfg.seeds = {1};
-  cfg.limits.reduction = ReductionPolicy::SourceDpor;
-  cfg.setup = [](Sim& sim) -> std::shared_ptr<void> {
-    return setup_mutex(
-        sim, AlgorithmRegistry::instance().mutex("peterson-2p").factory, 2,
-        1);
-  };
-  EXPECT_THROW((void)Explorer(cfg), std::invalid_argument);
+TEST(PorPolicy, RandomStudyRejectsReduction) {
+  // A sampled schedule has nothing to prune: the campaign refuses a
+  // Random search that asks for source-dpor while it plans, for both
+  // kinds the Random sampler serves.
+  for (const StudyKind kind : {StudyKind::Mutex, StudyKind::Detector}) {
+    const char* subject =
+        kind == StudyKind::Mutex ? "peterson-2p" : "splitter-tree-l2";
+    EXPECT_THROW((void)run_study(StudySpec::of(subject)
+                                     .kind(kind)
+                                     .n(2)
+                                     .worst_case(SearchStrategy::Random)
+                                     .seeds({1})
+                                     .reduction(ReductionPolicy::SourceDpor)),
+                 std::invalid_argument)
+        << name(kind);
+  }
 }
 
 }  // namespace

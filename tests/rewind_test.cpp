@@ -172,7 +172,6 @@ TEST(Rewind, RestoresPerformZeroSimConstructions) {
       AlgorithmRegistry::instance().mutex("peterson-2p").factory;
   Explorer::Config cfg;
   cfg.nprocs = 2;
-  cfg.strategy = SearchStrategy::Exhaustive;
   cfg.limits.max_depth = 14;
   cfg.setup = [&factory](Sim& sim) -> std::shared_ptr<void> {
     return setup_mutex(sim, factory, 2, 1);
@@ -543,7 +542,6 @@ Explorer::Config mutex_config(const MutexFactory& factory, int n, int depth,
                               const std::vector<CrashPlan>& crashes = {}) {
   Explorer::Config cfg;
   cfg.nprocs = n;
-  cfg.strategy = SearchStrategy::Exhaustive;
   cfg.limits.max_depth = depth;
   cfg.setup = [factory, n, crashes](Sim& sim) -> std::shared_ptr<void> {
     std::shared_ptr<void> alg = setup_mutex(sim, factory, n, 1);
@@ -584,7 +582,6 @@ TEST(Rewind, ExplorerMatchesReplayOracleForDetectors) {
     const DetectorFactory factory = e->factory;
     Explorer::Config cfg;
     cfg.nprocs = 2;
-    cfg.strategy = SearchStrategy::Exhaustive;
     cfg.limits.max_depth = 14;
     cfg.setup = [factory](Sim& sim) -> std::shared_ptr<void> {
       return setup_detection(sim, factory, 2);

@@ -5,6 +5,8 @@
 // repaired detector legacy-overload result type.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +20,17 @@
 
 namespace cfc {
 namespace {
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    ADD_FAILURE() << "cannot open " << path;
+    return {};
+  }
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
 
 void expect_reports_equal(const ComplexityReport& a,
                           const ComplexityReport& b,
@@ -266,6 +279,41 @@ TEST(Campaign, ThreadCountsProduceByteIdenticalJson) {
   const std::vector<StudyResult> b = campaign.run(&pool);
   const StudyJsonOptions no_timing{.include_timing = false};
   EXPECT_EQ(to_json(a, no_timing), to_json(b, no_timing));
+}
+
+TEST(Campaign, RandomSearchesRunOneCellPerSeed) {
+  // The seeded sampler, pinned to the timing-free JSON
+  // (tests/golden/random_campaign.json) it wrote when it still ran inside
+  // the Explorer: a crash-injected mutex whose 60-pick budget cuts seed 1
+  // (p0's crash at its sixth access leaves the others spinning) while
+  // seeds 2-4 complete, and a detector at the default budget. Each seed is
+  // a campaign cell of its own, reduced in seed order.
+  Campaign campaign;
+  campaign.add(StudySpec::of("lamport-fast")
+                   .kind(StudyKind::Mutex)
+                   .n(3)
+                   .worst_case(SearchStrategy::Random)
+                   .seeds({1, 2, 3, 4})
+                   .crash({5, 0})
+                   .budget(60));
+  campaign.add(StudySpec::of("splitter-tree-l2")
+                   .kind(StudyKind::Detector)
+                   .n(4)
+                   .worst_case(SearchStrategy::Random)
+                   .seeds({5, 6, 7}));
+  // The golden file ends with a trailing newline.
+  const std::string pinned =
+      read_file(std::string(CFC_SOURCE_DIR) +
+                "/tests/golden/random_campaign.json");
+  const StudyJsonOptions no_timing{.include_timing = false};
+  for (const int threads : {1, 4}) {
+    ExperimentRunner runner(threads);
+    CampaignStats stats;
+    const std::vector<StudyResult> results = campaign.run(&runner, &stats);
+    EXPECT_EQ(to_json(results, no_timing) + "\n", pinned)
+        << "threads=" << threads;
+    EXPECT_EQ(stats.cells, 7u);
+  }
 }
 
 TEST(Campaign, NamingWcOnlyMasksContentionFree) {
