@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/visited_table.h"
+#include "analysis/sleep_cache.h"
 #include "core/state_fingerprint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -143,6 +143,24 @@ class DfsEngine {
   /// reordering of the prefix a subtree race could demand is already a
   /// planner branch, or asleep and therefore covered by a same-length
   /// explored reordering (the classic sleep-set argument).
+  ///
+  /// Soundness of sharing visited keys across the unreduced search's work
+  /// items (Explorer::run's waves; ReductionPolicy::Off only). An equal key
+  /// means an equal state fingerprint and an equal objective digest, so
+  /// equal per-process histories (an equal remaining depth budget, hence an
+  /// equal remaining subtree) and an accumulator whose future objective
+  /// values are equal. Unreduced, every sleep mask is 0 and no race ever
+  /// inserts a branch, so a node's subtree is all of its schedules within
+  /// the depth bound and owes nothing to the path that reached it. An item
+  /// that ran to completion explored the whole subtree of every key it
+  /// stored (or found it covered, by its own cache or by an earlier wave's
+  /// item, by induction on the wave order), and its leaves merge into the
+  /// result like every other item's. So a later item that meets one of
+  /// those keys skips a subtree whose every value is already merged. An
+  /// item cut by max_states left subtrees unfinished and publishes nothing.
+  /// Source-DPOR is left out: a subtree there depends on its path (the
+  /// sleep mask and the race insertions it owes the path, foreign-depth
+  /// ones included), and no publication rule for that is proved yet.
   void plan(int horizon, std::vector<Pid>& prefixes,
             std::vector<WorkItem>& items, Explorer::Result& out) {
     out_ = &out;
@@ -158,8 +176,8 @@ class DfsEngine {
     // their reserved capacity depends on which items a worker happened to
     // claim, and every stat except steals/sims_built must stay
     // thread-count invariant.
-    out.stats.visited_bytes += scache_.bytes();
-    out.stats.visited_live_bytes += scache_.live_bytes();
+    out.stats.visited_bytes += scache_.bytes() + keys_.bytes();
+    out.stats.visited_live_bytes += cache_live_bytes();
     flush_metrics();
   }
 
@@ -169,18 +187,21 @@ class DfsEngine {
   /// realizable and violation-free). Under source-DPOR, prefix units join
   /// the race detector's trace with foreign-node masks. Repositioning is
   /// part of claiming the item, not a sibling backtrack, so it counts into
-  /// no restore counter.
+  /// no restore counter. `shared` (unreduced waves only, else null) holds
+  /// the keys of the items of earlier waves; it is read, never written.
   void run_item(const WorkItem& item, const std::vector<Pid>& prefixes,
-                Explorer::Result& out) {
+                const VisitedKeys* shared, Explorer::Result& out) {
     out_ = &out;
     begin_metrics();
     sim_->rewind_to_mark(base_mark_);
     acc_ = MeasureAccumulator(cfg_.nprocs);  // sink address is stable
     // A fresh cache per item (capacity kept): cache hits must depend only
-    // on the item's own subtree, never on which items this worker ran
-    // before — that per-item scoping is what keeps every counter derived
-    // from the pruning identical at every thread count.
+    // on the item's own subtree and the wave-frozen shared table, never on
+    // which items this worker ran before — that is what keeps every
+    // counter derived from the pruning identical at every thread count.
     scache_.clear();
+    keys_.clear();
+    shared_ = shared;
     if (dpor_) {
       dpor_->clear();
       std::fill(backtrack_.begin(), backtrack_.end(),
@@ -203,6 +224,9 @@ class DfsEngine {
       last = p;
       ++depth;
     }
+    if (shared_ != nullptr) {
+      root_key_ = state_key();
+    }
     walk_from<Role::Item>(depth, last, item.sleep);
     if (dpor_) {
       // Per-item flush of the race detector's counters (clear() resets
@@ -212,6 +236,14 @@ class DfsEngine {
       out.stats.backtrack_points += dpor_->stats().backtrack_points;
     }
     flush_metrics();
+  }
+
+  /// Appends the keys the last run_item stored to `out`, except its root:
+  /// the planner already merged equal horizon states, and no other item
+  /// reaches the horizon depth below its own root.
+  void publish(std::vector<std::uint64_t>& out) const {
+    out.reserve(out.size() + keys_.size());
+    keys_.append_keys(out, root_key_);
   }
 
  private:
@@ -419,13 +451,15 @@ class DfsEngine {
   }
 
   /// The visited check: true when a stored visit covers this node, and the
-  /// node's subtree is skipped. One SleepCache serves every search: equal
-  /// fingerprint implies equal per-process histories (so equal remaining
-  /// depth and equal accumulator), and a stored value that is a subset of
-  /// the current one means the stored subtree covered every behavior this
-  /// visit could, so its leaves already contributed the same objective
-  /// values. The value is the sleep mask: a stored visit that slept on
-  /// fewer branches explored more (unreduced, every sleep mask is 0).
+  /// node's subtree is skipped. Equal fingerprint implies equal per-process
+  /// histories (so equal remaining depth and equal accumulator). Under
+  /// source-DPOR the SleepCache stores the sleep mask as the value, and a
+  /// stored mask that is a subset of the current one means the stored
+  /// subtree covered every behavior this visit could (it slept on fewer
+  /// branches, so it explored more), so its leaves already contributed the
+  /// same objective values. Unreduced, every sleep mask is 0 and a visit is
+  /// its key alone (VisitedKeys); the items first look the key up in the
+  /// shared table of earlier waves (see plan() for why that is sound).
   ///
   /// The one thing a skipped subtree still owes the *current* path is its
   /// race-driven backtrack insertions (they are path-dependent): the
@@ -440,7 +474,15 @@ class DfsEngine {
     if (!cfg_.limits.prune_visited) {
       return false;
     }
-    if (!scache_.check_and_insert(state_key(), sleep)) {
+    const std::uint64_t key = state_key();
+    bool hit = false;
+    if constexpr (Reduce) {
+      hit = scache_.check_and_insert(key, sleep);
+    } else {
+      hit = (shared_ != nullptr && shared_->contains(key)) ||
+            !keys_.insert(key);
+    }
+    if (!hit) {
       return false;
     }
     ++out_->stats.pruned_visited;
@@ -616,7 +658,7 @@ class DfsEngine {
     bump(obs::Metric::races_detected, &ExploreStats::races_detected);
     bump(obs::Metric::backtrack_points, &ExploreStats::backtrack_points);
     bump(obs::Metric::restore_marks, &ExploreStats::restore_marks);
-    m.set_max(obs::Metric::visited_live_bytes, scache_.live_bytes());
+    m.set_max(obs::Metric::visited_live_bytes, cache_live_bytes());
   }
 
   const Explorer::Config& cfg_;
@@ -624,9 +666,19 @@ class DfsEngine {
   std::unique_ptr<Sim> sim_;
   std::shared_ptr<void> owner_;
   MeasureAccumulator acc_;
-  /// The visited cache (see seen()). Planner: one cache across the whole
-  /// walk. Worker: cleared per item.
+  /// Bytes of live entries in the visited cache.
+  [[nodiscard]] std::size_t cache_live_bytes() const {
+    return scache_.live_bytes() + keys_.live_bytes();
+  }
+
+  /// The visited cache (see seen()): scache_ under source-DPOR, keys_
+  /// unreduced (every sleep mask is 0). Planner: one cache across the
+  /// whole walk. Worker: cleared per item.
   SleepCache scache_;
+  VisitedKeys keys_;
+  /// Worker, unreduced waves only: the frozen keys of earlier waves.
+  const VisitedKeys* shared_ = nullptr;
+  std::uint64_t root_key_ = 0;  ///< the current item's root key (publish)
   std::vector<Pid> path_;  ///< planner: picks along the current path
   int horizon_ = 0;                       ///< planner: work-item depth
   std::vector<Pid>* prefixes_ = nullptr;  ///< planner: prefix storage
@@ -676,6 +728,16 @@ constexpr std::size_t kPrefixCap = 4096;
 /// The planner horizon every DFS asks for (never derived from the thread
 /// count, so results are bit-identical for every thread count).
 constexpr int kFrontierDepth = 4;
+/// Work items per wave of the unreduced search: the items of one wave run
+/// in parallel against a table frozen at the wave's start, so the size
+/// bounds both the parallelism of the search and the re-convergence it
+/// loses. A constant, never derived from the thread count.
+constexpr std::size_t kWaveItems = 8;
+/// Byte budget of the shared table's slot array. It holds at most
+/// kSharedTableBytes / 16 keys, so the array (at most 70% full) stays
+/// within the budget.
+constexpr std::size_t kSharedTableBytes = std::size_t{16} << 20;
+constexpr std::size_t kSharedTableKeys = kSharedTableBytes / 16;
 
 /// Planner horizon f: the planner fans the top f = min(kFrontierDepth,
 /// max_depth) levels out into at most n^f work items, capped so wide
@@ -707,6 +769,118 @@ int frontier_split_depth(int nprocs, const ExploreLimits& limits,
     }
   }
   return f;
+}
+
+/// What the waves of one search share: the plan, the per-item result
+/// slots, and one engine per pool task, built on first use and kept
+/// across waves.
+struct WaveContext {
+  const Explorer::Config& cfg;
+  const std::vector<WorkItem>& items;
+  const std::vector<Pid>& prefixes;
+  std::vector<Explorer::Result>& slots;
+  std::vector<std::unique_ptr<DfsEngine>> engines;
+  std::atomic<std::uint64_t> steals{0};
+  std::atomic<std::uint64_t> sims_built{0};
+};
+
+/// Runs the items of one wave on the pool, each into its own slot, pruning
+/// against `shared` when set; when `staged` is set, an item the state
+/// budget did not stop stages its keys in (*staged)[i]. Every task builds
+/// its engine, so the pool builds min(items, threads) Sims; after the
+/// `last` wave each task tallies and frees its engine.
+void run_wave(ExperimentRunner& eng, WaveContext& ctx,
+              const std::vector<std::size_t>& wave, const VisitedKeys* shared,
+              std::vector<std::vector<std::uint64_t>>* staged, bool last) {
+  const std::size_t workers = ctx.engines.size();
+  const std::size_t none = ctx.items.size();
+  struct Queue {
+    std::vector<std::size_t> items;
+    std::atomic<std::size_t> next{0};
+  };
+  std::vector<Queue> queues(workers);
+  {
+    const std::size_t per = wave.size() / workers;
+    const std::size_t rem = wave.size() % workers;
+    std::size_t next_item = 0;
+    for (std::size_t w = 0; w < workers; ++w) {
+      const std::size_t take = per + (w < rem ? 1 : 0);
+      for (std::size_t k = 0; k < take; ++k) {
+        queues[w].items.push_back(wave[next_item++]);
+      }
+    }
+  }
+  eng.parallel_for(workers, [&](std::size_t w) {
+    std::unique_ptr<DfsEngine>& engine = ctx.engines[w];
+    if (!engine) {
+      engine = std::make_unique<DfsEngine>(ctx.cfg);
+    }
+    Explorer::Result local;  // worker-local: one hot cache line per worker
+    std::uint64_t local_steals = 0;
+    for (;;) {
+      std::size_t idx = none;
+      Queue& own = queues[w];
+      const std::size_t pos = own.next.fetch_add(1, std::memory_order_relaxed);
+      if (pos < own.items.size()) {
+        idx = own.items[pos];
+      } else {
+        for (std::size_t off = 1; off < queues.size() && idx == none; ++off) {
+          Queue& victim = queues[(w + off) % queues.size()];
+          const std::size_t vpos =
+              victim.next.fetch_add(1, std::memory_order_relaxed);
+          if (vpos < victim.items.size()) {
+            idx = victim.items[vpos];
+            ++local_steals;
+          }
+        }
+      }
+      if (idx == none) {
+        break;  // every queue drained
+      }
+      local.stats = ExploreStats{};
+      local.best.clear();
+      {
+        const obs::TraceSpan item_span("explorer.item");
+        engine->run_item(ctx.items[idx], ctx.prefixes, shared, local);
+      }
+      if (staged != nullptr && !local.stats.state_budget_hit) {
+        engine->publish((*staged)[idx]);
+      }
+      ctx.slots[idx].stats = local.stats;
+      ctx.slots[idx].best.swap(local.best);
+    }
+    ctx.steals.fetch_add(local_steals, std::memory_order_relaxed);
+    if (last) {
+      ctx.sims_built.fetch_add(engine->sims_built(),
+                               std::memory_order_relaxed);
+      engine.reset();
+    }
+  });
+}
+
+/// The wave barrier: merges the keys the wave's items staged into `shared`
+/// in item index order, and frees the staging. Eviction is by whole waves:
+/// when the wave would push the table past kSharedTableKeys, every earlier
+/// wave is dropped first, and a wave larger than the whole budget is not
+/// published at all. Eviction only loses pruning, never coverage.
+void publish_wave(const std::vector<std::size_t>& wave,
+                  std::vector<std::vector<std::uint64_t>>& staged,
+                  VisitedKeys& shared) {
+  std::size_t incoming = 0;
+  for (const std::size_t i : wave) {
+    incoming += staged[i].size();
+  }
+  if (shared.size() + incoming > kSharedTableKeys) {
+    shared.clear();
+  }
+  for (const std::size_t i : wave) {
+    if (incoming <= kSharedTableKeys) {
+      for (const std::uint64_t key : staged[i]) {
+        shared.insert(key);
+      }
+    }
+    std::vector<std::uint64_t>().swap(staged[i]);
+  }
 }
 
 }  // namespace
@@ -753,68 +927,41 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
   // own Sim constructions, tallied once per worker like steals, so a
   // worker whose queue was stolen empty still reports its Sim) reflect the
   // pool size.
+  //
+  // The unreduced search with pruning runs its items in waves of
+  // kWaveItems, each wave dealt as above, and the engines stay with their
+  // pool tasks across waves. Every other search runs one wave.
+  const bool share = cfg_.limits.reduction == ReductionPolicy::Off &&
+                     cfg_.limits.prune_visited;
+  const std::size_t waves =
+      share ? (items.size() + kWaveItems - 1) / kWaveItems : 1;
   std::vector<Explorer::Result> slots(items.size());
-  std::atomic<std::uint64_t> steals{0};
-  std::atomic<std::uint64_t> worker_sims{0};
+  std::vector<std::vector<std::uint64_t>> staged(share ? items.size() : 0);
+  VisitedKeys shared;
+  WaveContext ctx{cfg_, items, prefixes, slots, {}};
   if (!items.empty()) {
     ExperimentRunner& eng = runner_or_shared(runner);
-    const std::size_t workers = std::min(
+    ctx.engines.resize(std::min(
         items.size(),
-        static_cast<std::size_t>(std::max(1, eng.thread_count())));
-    struct Queue {
-      std::vector<std::size_t> items;
-      std::atomic<std::size_t> next{0};
-    };
-    std::vector<Queue> queues(workers);
-    {
-      const std::size_t per = items.size() / workers;
-      const std::size_t rem = items.size() % workers;
-      std::size_t next_item = 0;
-      for (std::size_t w = 0; w < workers; ++w) {
-        const std::size_t take = per + (w < rem ? 1 : 0);
-        for (std::size_t k = 0; k < take; ++k) {
-          queues[w].items.push_back(next_item++);
-        }
+        static_cast<std::size_t>(std::max(1, eng.thread_count()))));
+    std::vector<std::size_t> wave;
+    for (std::size_t k = 0; k < waves; ++k) {
+      // Item i joins wave i mod waves: planner-order neighbours re-converge
+      // most, so they land in consecutive waves, where the later one reads
+      // the earlier one's keys.
+      wave.clear();
+      for (std::size_t i = k; i < items.size(); i += waves) {
+        wave.push_back(i);
+      }
+      // The last wave's keys would have no reader: it stages nothing.
+      const bool publish = share && k + 1 < waves;
+      run_wave(eng, ctx, wave, share ? &shared : nullptr,
+               publish ? &staged : nullptr, k + 1 == waves);
+      if (publish) {
+        const obs::TraceSpan merge_span("explorer.merge");
+        publish_wave(wave, staged, shared);
       }
     }
-    eng.parallel_for(workers, [&](std::size_t w) {
-      DfsEngine engine(cfg_);
-      Explorer::Result local;  // worker-local: one hot cache line per worker
-      std::uint64_t local_steals = 0;
-      for (;;) {
-        std::size_t idx = items.size();
-        Queue& own = queues[w];
-        const std::size_t pos =
-            own.next.fetch_add(1, std::memory_order_relaxed);
-        if (pos < own.items.size()) {
-          idx = own.items[pos];
-        } else {
-          for (std::size_t off = 1;
-               off < queues.size() && idx == items.size(); ++off) {
-            Queue& victim = queues[(w + off) % queues.size()];
-            const std::size_t vpos =
-                victim.next.fetch_add(1, std::memory_order_relaxed);
-            if (vpos < victim.items.size()) {
-              idx = victim.items[vpos];
-              ++local_steals;
-            }
-          }
-        }
-        if (idx == items.size()) {
-          break;  // every queue drained
-        }
-        local.stats = ExploreStats{};
-        local.best.clear();
-        {
-          const obs::TraceSpan item_span("explorer.item");
-          engine.run_item(items[idx], prefixes, local);
-        }
-        slots[idx].stats = local.stats;
-        slots[idx].best.swap(local.best);
-      }
-      steals.fetch_add(local_steals, std::memory_order_relaxed);
-      worker_sims.fetch_add(engine.sims_built(), std::memory_order_relaxed);
-    });
   }
 
   Result res;
@@ -826,8 +973,10 @@ Explorer::Result Explorer::run(ExperimentRunner* runner) const {
       res.merge(slot);
     }
   }
-  res.stats.steals += steals.load(std::memory_order_relaxed);
-  res.stats.sims_built += worker_sims.load(std::memory_order_relaxed);
+  res.stats.steals += ctx.steals.load(std::memory_order_relaxed);
+  res.stats.sims_built += ctx.sims_built.load(std::memory_order_relaxed);
+  res.stats.visited_bytes += shared.bytes();
+  res.stats.visited_live_bytes += shared.live_bytes();
   {
     obs::MetricRegistry& m = obs::MetricRegistry::global();
     if (m.enabled()) {

@@ -50,11 +50,13 @@ struct ExploreLimits {
   /// item; 0 = unlimited. Exceeding it cuts the search (result no longer
   /// certified; ExploreStats::truncated).
   std::uint64_t max_states = 0;
-  /// Visited-state pruning (on by default) on the SleepCache: one cache
-  /// for the planner's whole walk, and one per work item. Keys combine
-  /// core/state_fingerprint with the objective digest; a stored visit
-  /// covers a revisit that sleeps on a superset of its branches (under
-  /// SourceDpor: stateful DPOR; unreduced, every sleep mask is 0).
+  /// Visited-state pruning (on by default): one cache for the planner's
+  /// whole walk, and one per work item. Keys combine core/state_fingerprint
+  /// with the objective digest. Under SourceDpor the cache is the
+  /// SleepCache, where a stored visit covers a revisit that sleeps on a
+  /// superset of its branches (stateful DPOR). Unreduced, every sleep mask
+  /// is 0, a visit is its key alone, and the items also share keys across
+  /// waves (see Explorer).
   bool prune_visited = true;
   /// The partial-order reduction applied to the search (src/por/; see
   /// ReductionPolicy). Off by default at this layer; the Study layer
@@ -120,8 +122,10 @@ struct ExploreStats {
   /// Sim constructions + setup executions, counted where each Sim is
   /// built: one per DFS engine (restores rewind in place).
   std::uint64_t sims_built = 0;
-  std::uint64_t visited_bytes = 0;   ///< bytes reserved by the planner's cache
-  /// Bytes of *live* planner-cache entries (occupied slots + live spill
+  /// Bytes reserved by the planner's cache and, unreduced, by the table
+  /// the waves share.
+  std::uint64_t visited_bytes = 0;
+  /// Bytes of *live* entries of those two (occupied slots + live spill
   /// nodes); visited_bytes reports reserved capacity, including the spill
   /// freelist — the bench memory column shows both.
   std::uint64_t visited_live_bytes = 0;
@@ -175,8 +179,9 @@ struct ExploreObjective {
 /// walks the preemption-free spine. One recursive walk serves the planner
 /// and the work items under both reduction policies; they differ only in
 /// the branch set (every runnable process / every runnable, awake process
-/// / one seed grown by race insertions), and one SleepCache serves them
-/// all. Coroutine frames cannot be copied, so every
+/// / one seed grown by race insertions) and in the visited cache
+/// (SleepCache under source-DPOR, the mask-free VisitedKeys unreduced).
+/// Coroutine frames cannot be copied, so every
 /// branching node captures a Sim::RewindMark (undo-log length + per-process
 /// digests, O(processes); no register values) and its MeasureAccumulator
 /// snapshot (plain data) into per-depth pools. A sibling restore costs what
@@ -197,6 +202,17 @@ struct ExploreObjective {
 /// work-stealing pool over an ExperimentRunner, and per-item results
 /// reduce in item order, so reports are bit-identical for every thread
 /// count (steals and sims_built excepted).
+///
+/// Visited keys across items: unreduced with pruning, the items run in
+/// waves of at most 8, item i in wave i mod ceil(items / 8) (a constant
+/// size, never derived from the thread count). An item of wave k prunes
+/// against its own cache and a table frozen for the wave, which holds the
+/// keys of every item of waves < k that the state budget did not stop;
+/// the wave's keys merge in item index order at the barrier. The table
+/// has a fixed byte budget, evicted by whole waves. Source-DPOR runs all
+/// its items as one wave with per-item caches only. Why sharing is sound
+/// unreduced and not yet under source-DPOR: DfsEngine::plan() in
+/// explorer.cpp.
 class Explorer {
  public:
   /// Rebuilds the simulation under exploration and returns an owner handle
@@ -230,8 +246,9 @@ class Explorer {
   explicit Explorer(Config cfg);
 
   /// Runs the search: a sequential planner fans the top f levels into
-  /// self-contained work items, executed by a work-stealing worker pool;
-  /// results merge in item index order, so everything except
+  /// self-contained work items, executed by a work-stealing worker pool
+  /// (wave by wave, unreduced with pruning); results merge in item index
+  /// order, so everything except
   /// steals/sims_built is bit-identical at every thread count. sims_built
   /// is exactly 1 + min(work items, threads). `runner == nullptr` uses the
   /// shared pool.

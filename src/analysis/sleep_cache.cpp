@@ -1,4 +1,4 @@
-#include "analysis/visited_table.h"
+#include "analysis/sleep_cache.h"
 
 #include <algorithm>
 #include <utility>
@@ -15,11 +15,21 @@ constexpr std::uint64_t normalize_key(std::uint64_t key) {
   return key == 0 ? 0x9e3779b97f4a7c15ULL : key;
 }
 
+/// The home slot of a normalized key in a power-of-two table.
+constexpr std::size_t home_slot(std::uint64_t key, std::size_t slots) {
+  return (key * 0x9e3779b97f4a7c15ULL) & (slots - 1);
+}
+
+/// True when one more key would push `used` keys in `slots` slots past 70%.
+constexpr bool needs_growth(std::size_t used, std::size_t slots) {
+  return slots == 0 || used * 10 >= slots * 7;
+}
+
 }  // namespace
 
 std::size_t SleepCache::find_slot(std::uint64_t key) const {
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = (key * 0x9e3779b97f4a7c15ULL) & mask;
+  std::size_t i = home_slot(key, slots_.size());
   while (slots_[i].key != 0 && slots_[i].key != key) {
     i = (i + 1) & mask;
   }
@@ -60,7 +70,7 @@ bool SleepCache::subsumed(std::uint64_t raw_key, std::uint32_t sleep) const {
 }
 
 void SleepCache::insert(std::uint64_t raw_key, std::uint32_t sleep) {
-  if (slots_.empty() || used_ * 10 >= slots_.size() * 7) {
+  if (needs_growth(used_, slots_.size())) {
     grow();
   }
   const std::uint64_t key = normalize_key(raw_key);
@@ -69,7 +79,7 @@ void SleepCache::insert(std::uint64_t raw_key, std::uint32_t sleep) {
 
 bool SleepCache::check_and_insert(std::uint64_t raw_key,
                                   std::uint32_t sleep) {
-  if (slots_.empty() || used_ * 10 >= slots_.size() * 7) {
+  if (needs_growth(used_, slots_.size())) {
     grow();
   }
   const std::uint64_t key = normalize_key(raw_key);
@@ -151,6 +161,58 @@ std::size_t SleepCache::bytes() const {
 
 std::size_t SleepCache::live_bytes() const {
   return used_ * sizeof(Slot) + spill_live_ * sizeof(SpillNode);
+}
+
+std::size_t VisitedKeys::find_slot(std::uint64_t key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home_slot(key, slots_.size());
+  while (slots_[i] != 0 && slots_[i] != key) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+bool VisitedKeys::contains(std::uint64_t raw_key) const {
+  if (slots_.empty()) {
+    return false;
+  }
+  const std::uint64_t key = normalize_key(raw_key);
+  return slots_[find_slot(key)] == key;
+}
+
+bool VisitedKeys::insert(std::uint64_t raw_key) {
+  if (needs_growth(used_, slots_.size())) {
+    std::vector<std::uint64_t> old = std::move(slots_);
+    slots_.assign(old.empty() ? kInitialCapacity : old.size() * 2, 0);
+    for (const std::uint64_t k : old) {
+      if (k != 0) {
+        slots_[find_slot(k)] = k;
+      }
+    }
+  }
+  const std::uint64_t key = normalize_key(raw_key);
+  std::uint64_t& slot = slots_[find_slot(key)];
+  if (slot != 0) {
+    return false;
+  }
+  slot = key;
+  ++used_;
+  return true;
+}
+
+void VisitedKeys::clear() {
+  std::fill(slots_.begin(), slots_.end(), 0);
+  used_ = 0;
+}
+
+void VisitedKeys::append_keys(std::vector<std::uint64_t>& out,
+                              std::uint64_t except) const {
+  const std::uint64_t skip = normalize_key(except);
+  for (const std::uint64_t k : slots_) {
+    if (k != 0 && k != skip) {
+      out.push_back(k);
+    }
+  }
 }
 
 }  // namespace cfc

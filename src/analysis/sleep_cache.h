@@ -1,5 +1,5 @@
-#ifndef CFC_ANALYSIS_VISITED_TABLE_H
-#define CFC_ANALYSIS_VISITED_TABLE_H
+#ifndef CFC_ANALYSIS_SLEEP_CACHE_H
+#define CFC_ANALYSIS_SLEEP_CACHE_H
 
 #include <cstddef>
 #include <cstdint>
@@ -7,15 +7,16 @@
 
 namespace cfc {
 
-/// The explorer's visited cache, for every DFS search.
+/// The visited cache of the source-DPOR search (the unreduced search's is
+/// VisitedKeys, below).
 ///
 /// Maps a state key (state fingerprint x objective digest — the mask is
 /// NOT folded into the key) to the antichain of masks the state was
-/// already explored under. The mask is the visit's sleep set (always 0 in
-/// an unreduced search). The subsumption rule: a stored visit with sleep
-/// set S covers a new visit with sleep set S' iff S is a subset of S' —
-/// under *stateful* source-DPOR the stored subtree explored every branch
-/// outside S, a superset of the branches outside S', and leaf objectives
+/// already explored under. The mask is the visit's sleep set. The
+/// subsumption rule: a stored visit with sleep set S covers a new visit
+/// with sleep set S' iff S is a subset of S' — under *stateful*
+/// source-DPOR the stored subtree explored every branch outside S, a
+/// superset of the branches outside S', and leaf objectives
 /// are monotone, so every value the new visit could certify was already
 /// merged by the stored one. Depth needs no explicit dimension: process
 /// digests fold the full per-process unit history, so equal fingerprints
@@ -26,10 +27,12 @@ namespace cfc {
 /// key, longer antichains spilled into nodes of one vector, linked by
 /// index and recycled through a free list. One lookup is one hash, a
 /// handful of contiguous probes, and zero allocation steady-state. clear()
-/// keeps every reservation (slot array, node vector) so a worker can reuse
-/// one cache across work items — and the per-item clearing is what keeps
-/// the pruning (and every counter derived from it) thread-count invariant
-/// under the work-stealing executor.
+/// keeps every reservation (slot array, node vector) so a worker reuses one
+/// cache across the work items it claims. Each item starts from an empty
+/// cache, so what it prunes never depends on which items its worker ran
+/// before; the unreduced search shares visits across items only through the
+/// wave-frozen VisitedKeys table (analysis/explorer.cpp), which keeps every
+/// counter thread-count invariant.
 class SleepCache {
  public:
   SleepCache() = default;
@@ -86,6 +89,45 @@ class SleepCache {
   std::size_t used_ = 0;
 };
 
+/// A set of state keys: the visited cache of the unreduced search, where
+/// every sleep mask is 0, so a visit is its key alone — one 8-byte slot
+/// instead of a 24-byte SleepCache slot. The explorer also shares one
+/// across the unreduced search's work items (see Explorer::run). Open
+/// addressing over a power-of-two slot array, at most 70% full.
+class VisitedKeys {
+ public:
+  [[nodiscard]] bool contains(std::uint64_t key) const;
+
+  /// Adds `key`; false when it was already stored.
+  bool insert(std::uint64_t key);
+
+  /// Drops every key but keeps the slot array for reuse.
+  void clear();
+
+  /// Distinct keys stored.
+  [[nodiscard]] std::size_t size() const { return used_; }
+
+  /// Bytes reserved by the slot array.
+  [[nodiscard]] std::size_t bytes() const {
+    return slots_.capacity() * sizeof(std::uint64_t);
+  }
+
+  /// Bytes of stored keys.
+  [[nodiscard]] std::size_t live_bytes() const {
+    return used_ * sizeof(std::uint64_t);
+  }
+
+  /// Appends every stored key except `except` to `out`, in slot order.
+  void append_keys(std::vector<std::uint64_t>& out,
+                   std::uint64_t except) const;
+
+ private:
+  [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;
+
+  std::vector<std::uint64_t> slots_;  ///< 0 = empty (key 0 is remapped)
+  std::size_t used_ = 0;
+};
+
 }  // namespace cfc
 
-#endif  // CFC_ANALYSIS_VISITED_TABLE_H
+#endif  // CFC_ANALYSIS_SLEEP_CACHE_H

@@ -444,7 +444,10 @@ class WorstCaseTask final : public MeasureTask {
     const RunOutcome outcome =
         drive(sim, rnd, RunLimits{options_.budget_per_run});
     ExploreStats& stats = cells_[i].stats;
-    stats.states_visited = sim.schedule_log().size();
+    // Scheduler picks only: the log also holds start-only units.
+    stats.states_visited = static_cast<std::uint64_t>(std::count_if(
+        sim.schedule_log().begin(), sim.schedule_log().end(),
+        [](const ScheduleUnit& u) { return !u.start_only; }));
     if (outcome == RunOutcome::BudgetExhausted) {
       acc.mark_truncated();
       stats.runs_truncated = 1;

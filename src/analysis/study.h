@@ -221,6 +221,8 @@ struct StudyResult {
   ComplexityReport wc_entry;
   ComplexityReport wc_exit;
   std::uint64_t schedules_tried = 0;
+  /// Exhaustive: DFS nodes entered. Random: scheduler picks summed over
+  /// the seeds (start-only units of the schedule log are not picks).
   std::uint64_t states_visited = 0;
   /// Mutual-exclusion violations found (DFS strategies; violating
   /// schedules are excluded from the maxima). Nonzero means the algorithm

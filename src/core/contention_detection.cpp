@@ -21,7 +21,7 @@ std::unique_ptr<Detector> setup_detection(Sim& sim, const DetectorFactory& make,
   std::unique_ptr<Detector> det = make(sim.memory(), n);
   for (int slot = 0; slot < n; ++slot) {
     Detector* d = det.get();
-    sim.spawn("d" + std::to_string(slot),
+    sim.spawn(std::string("d").append(std::to_string(slot)),
               [d, slot](ProcessContext& ctx) {
                 return detector_driver(ctx, *d, slot);
               });

@@ -50,15 +50,6 @@ void RegisterFile::reset() {
   }
 }
 
-MemorySnapshot RegisterFile::snapshot() const {
-  MemorySnapshot snap;
-  snap.reserve(slots_.size());
-  for (const Slot& s : slots_) {
-    snap.push_back(s.value);
-  }
-  return snap;
-}
-
 Value RegisterFile::max_value(RegId r) const {
   const int w = slot(r).width;
   if (w >= kMaxWidth) {

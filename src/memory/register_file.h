@@ -10,10 +10,6 @@
 
 namespace cfc {
 
-/// A copy of every register's current value, in register-id order (one
-/// Value per register), for comparing whole register states.
-using MemorySnapshot = std::vector<Value>;
-
 /// The shared memory of a simulated system: a set of named registers, each
 /// 1..64 bits wide. The *atomicity* of an algorithm (paper, Section 2.1) is
 /// the width of the widest register it accesses in one atomic step; the
@@ -54,10 +50,6 @@ class RegisterFile {
 
   /// Restores every register to its initial value.
   void reset();
-
-  /// Copies every register's current value (O(size), no allocation beyond
-  /// the returned vector).
-  [[nodiscard]] MemorySnapshot snapshot() const;
 
   /// 64-bit incremental hash of the current (register, value) set,
   /// maintained O(1) per mutation. Two register files with the same layout

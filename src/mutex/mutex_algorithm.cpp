@@ -33,7 +33,7 @@ std::unique_ptr<MutexAlgorithm> setup_mutex(Sim& sim, const MutexFactory& make,
   sim.check_mutual_exclusion(true);
   for (int slot = 0; slot < n; ++slot) {
     MutexAlgorithm* a = alg.get();
-    sim.spawn("m" + std::to_string(slot),
+    sim.spawn(std::string("m").append(std::to_string(slot)),
               [a, slot, sessions](ProcessContext& ctx) {
                 return mutex_driver(ctx, *a, slot, sessions);
               });

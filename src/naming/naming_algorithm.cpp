@@ -25,9 +25,8 @@ std::unique_ptr<NamingAlgorithm> setup_naming(Sim& sim,
   for (int i = 0; i < n; ++i) {
     NamingAlgorithm* a = alg.get();
     // Identical bodies: no slot/index reaches the algorithm.
-    sim.spawn("n" + std::to_string(i), [a](ProcessContext& ctx) {
-      return naming_driver(ctx, *a);
-    });
+    sim.spawn(std::string("n").append(std::to_string(i)),
+              [a](ProcessContext& ctx) { return naming_driver(ctx, *a); });
   }
   return alg;
 }

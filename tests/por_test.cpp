@@ -166,6 +166,37 @@ TEST(PorDifferential, MutexRegistryAtN2And3) {
   }
 }
 
+TEST(PorDifferential, UnreducedPruningMatchesUnprunedAtN3) {
+  // The unreduced search prunes with visited keys shared across work items
+  // in waves (n=3 emits enough items for several). Against the same search
+  // with no visited cache at all it must certify the same maxima, find
+  // violations iff the unpruned search does, and report the same truncated
+  // and certified flags.
+  ExperimentRunner pool(4);
+  for (const MutexAlgorithmEntry* e :
+       AlgorithmRegistry::instance().mutex_for_n(3)) {
+    const std::string what = e->info.name + " n=3";
+    SCOPED_TRACE(what);
+    const Explorer::SetupFn setup = mutex_setup(e->factory, 3);
+    Explorer::Config unpruned =
+        explorer_config(setup, 3, 10, ReductionPolicy::Off);
+    unpruned.limits.prune_visited = false;
+    const Explorer::Result raw = Explorer(unpruned).run(&pool);
+    const Explorer::Result pruned =
+        Explorer(explorer_config(setup, 3, 10, ReductionPolicy::Off))
+            .run(&pool);
+    EXPECT_GT(pruned.stats.work_items, 8u);
+    EXPECT_LT(pruned.stats.states_visited, raw.stats.states_visited);
+    ASSERT_EQ(pruned.best.size(), raw.best.size());
+    for (std::size_t i = 0; i < raw.best.size(); ++i) {
+      expect_reports_equal(pruned.best[i], raw.best[i], what);
+    }
+    EXPECT_EQ(pruned.stats.violations > 0, raw.stats.violations > 0);
+    EXPECT_EQ(pruned.stats.truncated, raw.stats.truncated);
+    EXPECT_EQ(pruned.stats.state_budget_hit, raw.stats.state_budget_hit);
+  }
+}
+
 TEST(PorDifferential, DetectorRegistryAtN2And3) {
   ExperimentRunner seq(1);
   ExperimentRunner pool(4);
@@ -354,18 +385,32 @@ TEST(PorStudyJson, DetectorByteIdenticalAcrossThreadCounts) {
 
 TEST(PorStudyJson, UnreducedByteIdenticalAcrossThreadCounts) {
   // The unreduced search runs on the same planner and work-stealing pool:
-  // its payloads obey the same contract.
+  // its payloads obey the same contract. At n=2 the planner emits at most
+  // 16 items; the n=3 cells emit 15-33, so their items run in at least two
+  // waves that share visited keys.
+  struct Cell {
+    std::string name;
+    int n;
+  };
+  std::vector<Cell> cells;
   for (const MutexAlgorithmEntry* e :
        AlgorithmRegistry::instance().mutex_for_n(2)) {
+    cells.push_back({e->info.name, 2});
+  }
+  for (const char* name : {"peterson-tree", "tas-lock", "kessels-tree"}) {
+    cells.push_back({name, 3});
+  }
+  for (const Cell& c : cells) {
     ExploreLimits limits;
     limits.max_depth = 12;
-    const StudySpec spec = StudySpec::of(e->info.name)
+    const StudySpec spec = StudySpec::of(c.name)
                                .kind(StudyKind::Mutex)
-                               .n(2)
+                               .n(c.n)
                                .worst_case(SearchStrategy::Exhaustive)
                                .limits(limits)
                                .reduction(ReductionPolicy::Off);
-    const std::string what = e->info.name + " off exhaustive";
+    const std::string what =
+        c.name + " n=" + std::to_string(c.n) + " off exhaustive";
     SCOPED_TRACE(what);
     expect_json_thread_invariant(spec, what, ReductionPolicy::Off);
   }

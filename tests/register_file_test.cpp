@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace cfc {
 namespace {
@@ -84,18 +85,20 @@ TEST(RegisterFile, SnapshotAndResetRoundTrip) {
   const RegId a = mem.add_register("a", 8, 42);
   const RegId b = mem.add_bit("b");
   const RegId c = mem.add_register("c", 64);
-  const MemorySnapshot snap = mem.snapshot();
+  const auto values = [&] {
+    return std::vector<Value>{mem.peek(a), mem.peek(b), mem.peek(c)};
+  };
   const std::uint64_t fp = mem.fingerprint();
-  EXPECT_EQ(snap, (MemorySnapshot{42, 0, 0}));
+  EXPECT_EQ(values(), (std::vector<Value>{42, 0, 0}));
 
   mem.poke(a, 7);
   mem.poke(b, 1);
   mem.poke(c, ~Value{0});
   EXPECT_NE(mem.fingerprint(), fp);
-  EXPECT_EQ(mem.snapshot(), (MemorySnapshot{7, 1, ~Value{0}}));
+  EXPECT_EQ(values(), (std::vector<Value>{7, 1, ~Value{0}}));
 
   mem.reset();
-  EXPECT_EQ(mem.snapshot(), snap);
+  EXPECT_EQ(values(), (std::vector<Value>{42, 0, 0}));
   EXPECT_EQ(mem.fingerprint(), fp);
 }
 

@@ -3,16 +3,18 @@
 // every subsumed() query exactly like a straightforward
 // unordered_map<key, vector<mask>>, across random workloads, key
 // collisions on probe chains, inline overflow into the spill pool, and
-// growth/rehash — on sleep masks up to the full 32-bit width.
+// growth/rehash — on sleep masks up to the full 32-bit width. VisitedKeys,
+// the mask-free key set of the unreduced search, against a std::set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/visited_table.h"
+#include "analysis/sleep_cache.h"
 
 namespace cfc {
 namespace {
@@ -219,6 +221,38 @@ TEST(SleepCache, SurvivesGrowthAndKeyZero) {
   EXPECT_FALSE(cache.subsumed(0, 0b1));
   EXPECT_EQ(cache.size(), oracle.size() + 1);
   EXPECT_GT(cache.bytes(), 0u);
+}
+
+TEST(VisitedKeys, MatchesSetThroughGrowthClearAndKeyZero) {
+  std::mt19937_64 rng(7);
+  VisitedKeys keys;
+  std::set<std::uint64_t> oracle;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 5000; ++i) {
+      // Key 0 first (it is remapped internally but must behave like any
+      // key), then repeats from a small range among distinct keys.
+      const std::uint64_t key =
+          i == 0 ? 0 : (i % 7 == 0 ? rng() % 300 : rng());
+      ASSERT_EQ(keys.contains(key), oracle.count(key) == 1) << key;
+      EXPECT_EQ(keys.insert(key), oracle.insert(key).second) << key;
+    }
+    EXPECT_EQ(keys.size(), oracle.size());
+    EXPECT_EQ(keys.live_bytes(), oracle.size() * sizeof(std::uint64_t));
+    EXPECT_GE(keys.bytes(), keys.live_bytes());
+
+    // append_keys lists every key once, except the one named (here 0).
+    std::vector<std::uint64_t> listed;
+    keys.append_keys(listed, 0);
+    std::sort(listed.begin(), listed.end());
+    EXPECT_EQ(listed, std::vector<std::uint64_t>(std::next(oracle.begin()),
+                                                 oracle.end()));
+
+    const std::size_t reserved = keys.bytes();
+    keys.clear();
+    oracle.clear();
+    EXPECT_EQ(keys.size(), 0u);
+    EXPECT_EQ(keys.bytes(), reserved);
+  }
 }
 
 }  // namespace

@@ -284,7 +284,9 @@ TEST(Campaign, ThreadCountsProduceByteIdenticalJson) {
 TEST(Campaign, RandomSearchesRunOneCellPerSeed) {
   // The seeded sampler, pinned to the timing-free JSON
   // (tests/golden/random_campaign.json) it wrote when it still ran inside
-  // the Explorer: a crash-injected mutex whose 60-pick budget cuts seed 1
+  // the Explorer, except states_visited, which counts scheduler picks and
+  // not the start-only units of the schedule log (seed 1's cut run makes
+  // its 60 picks): a crash-injected mutex whose 60-pick budget cuts seed 1
   // (p0's crash at its sixth access leaves the others spinning) while
   // seeds 2-4 complete, and a detector at the default budget. Each seed is
   // a campaign cell of its own, reduced in seed order.
@@ -314,6 +316,16 @@ TEST(Campaign, RandomSearchesRunOneCellPerSeed) {
         << "threads=" << threads;
     EXPECT_EQ(stats.cells, 7u);
   }
+  // Seed 1 alone: its run is cut by the budget after exactly 60 picks.
+  const StudyResult cut = run_study(StudySpec::of("lamport-fast")
+                                        .kind(StudyKind::Mutex)
+                                        .n(3)
+                                        .worst_case(SearchStrategy::Random)
+                                        .seeds({1})
+                                        .crash({5, 0})
+                                        .budget(60));
+  EXPECT_TRUE(cut.truncated);
+  EXPECT_EQ(cut.states_visited, 60u);
 }
 
 TEST(Campaign, NamingWcOnlyMasksContentionFree) {
