@@ -33,12 +33,6 @@ namespace cfc::bench {
 ///   --repeat <n>     repetitions for timed sections; benches report the
 ///                    min-of-N (the noise-robust estimator on shared CI
 ///                    machines). Default 1.
-///   --reduction <p>  partial-order-reduction policy for the benches'
-///                    Exhaustive searches: off | source-dpor
-///                    (default off — the unreduced tree, comparable with
-///                    pre-POR baselines)
-///   --baseline <f>   committed BENCH_<name>.json to compare against
-///                    (explorer_scaling's reduction-factor rows)
 ///   --study-out <f>  write the bench's canonical study payload (a
 ///                    cfc.study.v1 array, timing excluded) to <f>; CI runs
 ///                    the bench at two thread counts and byte-compares the
@@ -54,8 +48,6 @@ struct BenchOptions {
   std::string out = ".";
   std::string algo;
   int repeat = 1;
-  ReductionPolicy reduction = ReductionPolicy::Off;
-  std::string baseline;
   std::string study_out;
   std::string trace_out;
   bool list = false;
@@ -66,8 +58,7 @@ struct BenchOptions {
       std::fprintf(to,
                    "usage: %s [--seed <base>] [--threads <k>] [--out <dir>] "
                    "[--algo <tag-or-name>] [--repeat <n>] "
-                   "[--reduction off|source-dpor] "
-                   "[--baseline <json>] [--study-out <json>] "
+                   "[--study-out <json>] "
                    "[--trace-out <json>] [--list]\n",
                    argc > 0 ? argv[0] : "bench");
       std::exit(exit_code);
@@ -117,19 +108,6 @@ struct BenchOptions {
           std::fprintf(stderr, "--repeat must be >= 1\n");
           usage(stderr, 2);
         }
-      } else if (matches(arg, "--reduction")) {
-        const std::string v = value(i, "--reduction");
-        const std::optional<ReductionPolicy> policy =
-            reduction_policy_from(v);
-        if (!policy.has_value()) {
-          std::fprintf(stderr,
-                       "invalid --reduction '%s' (off | source-dpor)\n",
-                       v.c_str());
-          usage(stderr, 2);
-        }
-        opts.reduction = *policy;
-      } else if (matches(arg, "--baseline")) {
-        opts.baseline = value(i, "--baseline");
       } else if (matches(arg, "--study-out")) {
         opts.study_out = value(i, "--study-out");
       } else if (matches(arg, "--trace-out")) {
@@ -386,8 +364,8 @@ class JsonReport {
 
   /// Writes BENCH_<name>.json (studies + rows + summary), prints the
   /// Verifier summary, and returns the process exit code. An unwritable
-  /// report is a hard failure: consumers downstream (baseline compares,
-  /// cfc_report diffs) must never mistake a missing file for a clean run.
+  /// report is a hard failure: consumers downstream (cfc_report diffs)
+  /// must never mistake a missing file for a clean run.
   int finish(Verifier& verify) {
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(

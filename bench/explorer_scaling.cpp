@@ -1,23 +1,24 @@
-// P4/P6/P7 (perf) — schedule-space explorer scaling after the in-place
-// restore rebuild, the parallel source-DPOR round, and the stateful
-// (sleep-set-aware visited cache) round: DFS throughput
-// (states/sec, min-of-N wall time per run over >= 50 ms samples, keyed on
-// the reduction policy) with the restore-cost counters
+// Schedule-space explorer scaling, measured: DFS throughput under both
+// reduction policies (states/sec, min-of-N wall time per run over >= 50 ms
+// samples, rows keyed on the policy) with the restore-cost counters
 // (restores, value-replayed-steps-per-node, restore_marks, sims_built,
 // visited-cache reserved/live bytes), visited-state pruning, the
-// source-dpor reduction rows (with a stateful-vs-baseline state ceiling),
-// stateful vs stateless source-dpor on the re-convergent peterson-tree
-// cell (the >= 10x sleep_blocked gate), Sim-level restore mechanics
-// (rewind vs from-scratch), work-stealing thread scaling of the
-// parallel source-DPOR path, and thread-count invariance checked
-// byte-for-byte on the canonical study JSON (also written to --study-out
-// for CI's cross-thread-count cmp gate). Writes BENCH_explorer_scaling.json
-// (schema cfc.bench.v1, git sha in the context); CI runs this in Release
-// as the perf smoke.
+// source-dpor reduction rows, stateful vs stateless source-dpor on the
+// re-convergent peterson-tree cell, Sim-level restore mechanics (rewind vs
+// from-scratch), work-stealing thread scaling of the parallel source-DPOR
+// path, and the canonical study JSON at threads 1 and 4. Writes
+// BENCH_explorer_scaling.json (schema cfc.bench.v1, git sha in the
+// context); CI runs this in Release as the perf smoke.
+//
+// The bench only measures. The values and counters it prints are asserted
+// in ctest (explorer_test, por_test, rewind_test); its two gates compare
+// timings taken in the same process, in interleaved rounds: 4 threads
+// >= 2.5x the states/sec of 1 thread (on hosts with >= 4 hardware
+// threads), and the base-mark rewind within 1.25x of a from-scratch
+// replay. --study-out writes the timing-free study payload that CI
+// byte-compares across thread counts.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -101,54 +102,6 @@ Explorer::Config tree_dpor_config(int depth) {
   return cfg;
 }
 
-/// Reads a numeric field of the committed baseline's row at a depth in a
-/// given section (the rows of a BENCH_explorer_scaling.json this bench
-/// itself wrote). When `reduction` is non-null the row must also carry
-/// that `"reduction"` — part of a throughput row's identity, since the
-/// same depth is timed under both policies over very different state
-/// counts. A targeted text scan, not a JSON parser: the row shape is owned
-/// by this file. Negative when the baseline predates the field or row.
-double baseline_row_double(const std::string& json, const char* section,
-                           int depth, const char* field,
-                           const char* reduction = nullptr) {
-  const std::string sect =
-      "\"section\": \"" + std::string(section) + "\"";
-  const std::string want_depth = "\"depth\": " + std::to_string(depth);
-  const std::string want_reduction =
-      reduction == nullptr
-          ? std::string()
-          : "\"reduction\": \"" + std::string(reduction) + "\"";
-  for (std::size_t at = json.find(sect); at != std::string::npos;
-       at = json.find(sect, at + 1)) {
-    const std::size_t row_end = json.find('}', at);
-    const std::size_t d = json.find(want_depth, at);
-    if (d == std::string::npos || d > row_end) {
-      continue;
-    }
-    if (reduction != nullptr) {
-      const std::size_t r = json.find(want_reduction, at);
-      if (r == std::string::npos || r > row_end) {
-        continue;
-      }
-    }
-    const std::string key = "\"" + std::string(field) + "\": ";
-    const std::size_t s = json.find(key, at);
-    if (s == std::string::npos || s > row_end) {
-      continue;
-    }
-    return std::strtod(json.c_str() + s + key.size(), nullptr);
-  }
-  return -1.0;
-}
-
-/// The committed baseline's throughput row at `depth` under `reduction`.
-double baseline_throughput_double(const std::string& json, int depth,
-                                  ReductionPolicy reduction,
-                                  const char* field) {
-  return baseline_row_double(json, "throughput", depth, field,
-                             name(reduction));
-}
-
 /// Wall time of one body() run, timed long enough to rise above timer and
 /// scheduler noise: the runs per sample double until one sample takes
 /// >= kMinSampleMs (these sizing samples double as warm-up), and the
@@ -175,9 +128,10 @@ double min_ms_per_run_of(int repeat, F&& body, int& runs_per_sample) {
 /// is sized to >= kMinSampleMs samples, then all are sampled in
 /// max(repeat, 10) interleaved rounds, so a shift in host speed between
 /// the bodies cannot decide the comparison. Returns each body's min ms per
-/// run, in order.
+/// run, in order; `runs_per_sample`, when given, receives the sizing.
 std::vector<double> interleaved_min_ms_per_run(
-    int repeat, const std::vector<std::function<void()>>& bodies) {
+    int repeat, const std::vector<std::function<void()>>& bodies,
+    std::vector<int>* runs_per_sample = nullptr) {
   std::vector<int> runs(bodies.size(), 1);
   std::vector<double> best(bodies.size(), -1.0);
   for (int round = -1; round < std::max(repeat, 10); ++round) {
@@ -197,39 +151,17 @@ std::vector<double> interleaved_min_ms_per_run(
       best[b] = best[b] < 0.0 ? ms : std::min(best[b], ms);
     }
   }
+  if (runs_per_sample != nullptr) {
+    *runs_per_sample = runs;
+  }
   return best;
 }
 
-std::string read_file(const std::string& path) {
-  std::string out;
-  if (std::FILE* fp = std::fopen(path.c_str(), "rb")) {
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), fp)) > 0) {
-      out.append(buf, got);
-    }
-    std::fclose(fp);
-  }
-  return out;
-}
-
-bool same_best(const std::vector<ComplexityReport>& a,
-               const std::vector<ComplexityReport>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].steps != b[i].steps || a[i].registers != b[i].registers ||
-        a[i].read_steps != b[i].read_steps ||
-        a[i].write_steps != b[i].write_steps ||
-        a[i].read_registers != b[i].read_registers ||
-        a[i].write_registers != b[i].write_registers ||
-        a[i].atomicity != b[i].atomicity ||
-        a[i].truncated != b[i].truncated) {
-      return false;
-    }
-  }
-  return true;
+/// `v` printed with `digits` decimals, for the text tables.
+std::string fixed(double v, int digits) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
+  return buf;
 }
 
 }  // namespace
@@ -244,124 +176,83 @@ int main(int argc, char** argv) {
     cfc::obs::Tracer::start(opts.trace_out);
   }
   const auto runner = opts.make_runner();
-  // The wall-clock gate (the states/sec band) assumes the pool fits the
-  // host. When --threads asks for more workers than cores — the CI
-  // determinism sweep runs --threads 4 on small runners — timing
-  // comparisons measure scheduler thrash, not the code, so that gate
-  // turns advisory. Every counter and bit-identity gate stays hard.
-  const unsigned hw_threads =
-      std::max(1u, std::thread::hardware_concurrency());
-  const bool oversubscribed =
-      opts.threads > 0 && static_cast<unsigned>(opts.threads) > hw_threads;
   cfc::bench::Verifier verify;
   cfc::bench::JsonReport json("explorer_scaling", opts.out);
   json.context("repeat", cfc::bench::jv(opts.repeat));
   json.context("threads", cfc::bench::jv(opts.threads));
-  const std::string baseline_json =
-      opts.baseline.empty() ? std::string() : read_file(opts.baseline);
-  if (!opts.baseline.empty() && baseline_json.empty()) {
-    std::printf("  [warn] --baseline %s not readable; baseline comparisons "
-                "omitted\n",
-                opts.baseline.c_str());
-  }
 
-  // --- 1. Exhaustive DFS throughput over depth, with the restore cost
-  // model's counters: every DFS node with k > 1 branches captures a mark
-  // and pays k-1 restores, each value-replaying only the processes that
-  // acted below the node — value-replayed-steps-per-node is the knob that
-  // perf work on the restore path moves.
+  // --- 1. Exhaustive DFS throughput over depth under both reduction
+  // policies, with the restore cost model's counters: every DFS node with
+  // k > 1 branches captures a mark and pays k-1 restores, each
+  // value-replaying only the processes that acted below the node —
+  // value-replayed-steps-per-node is the knob that perf work on the
+  // restore path moves.
   std::printf(
-      "Exhaustive exploration throughput (Peterson, n=2, reduction=%s, "
-      "min of %d):\n\n",
-      name(opts.reduction), opts.repeat);
-  json.context("reduction", std::string(name(opts.reduction)));
-  TextTable thr({"depth", "states", "leaves", "ms", "states/sec",
-                 "restores", "value/node", "marks",
-                 "visited KiB (live)", "entry steps"});
-  // Section 3b reuses these as its "unreduced" side when the throughput
-  // section already ran unreduced (the default --reduction=off), so the
-  // heaviest searches are not repeated per invocation.
-  std::vector<std::pair<Explorer::Result, double>> throughput_runs;
-  for (const int depth : {12, 16, 20}) {
+      "Exhaustive exploration throughput (Peterson, n=2, min of %d):\n\n",
+      opts.repeat);
+  TextTable thr({"reduction", "depth", "states", "leaves", "ms",
+                 "states/sec", "restores", "value/node", "marks",
+                 "visited B (live)", "entry steps"});
+  constexpr ReductionPolicy kPolicies[] = {ReductionPolicy::Off,
+                                           ReductionPolicy::SourceDpor};
+  constexpr int kDepths[] = {12, 16, 20};
+  // Section 3b reads both policies' runs from here.
+  struct Timed {
     Explorer::Result res;
-    int runs_per_sample = 1;
-    const double ms = min_ms_per_run_of(
-        opts.repeat,
-        [&] {
-          const Explorer explorer(peterson_config(depth, opts.reduction));
-          res = explorer.run(runner.get());
-        },
-        runs_per_sample);
-    throughput_runs.emplace_back(res, ms);
-    const double rate =
-        ms > 0 ? 1000.0 * static_cast<double>(res.stats.states_visited) / ms
-               : 0.0;
-    const double value_replayed_per_node =
-        res.stats.states_visited
-            ? static_cast<double>(res.stats.value_replayed_steps) /
-                  static_cast<double>(res.stats.states_visited)
-            : 0.0;
-    const std::uint64_t leaves =
-        res.stats.runs_completed + res.stats.runs_truncated;
-    thr.add_row(
-        {std::to_string(depth), std::to_string(res.stats.states_visited),
-         std::to_string(leaves), std::to_string(static_cast<long long>(ms)),
-         std::to_string(static_cast<long long>(rate)),
-         std::to_string(res.stats.restores),
-         std::to_string(value_replayed_per_node).substr(0, 5),
-         std::to_string(res.stats.restore_marks),
-         std::to_string(res.stats.visited_bytes / 1024) + " (" +
-             std::to_string(res.stats.visited_live_bytes / 1024) + ")",
-         std::to_string(res.best.empty() ? 0 : res.best[0].steps)});
-    json.row({{"section", std::string("throughput")},
-              {"reduction", std::string(name(opts.reduction))},
-              {"depth", cfc::bench::jv(depth)},
-              {"states", cfc::bench::jv(res.stats.states_visited)},
-              {"ms_min", cfc::bench::jv(ms)},
-              {"runs_per_sample", cfc::bench::jv(runs_per_sample)},
-              {"states_per_sec", cfc::bench::jv(rate)},
-              {"restores", cfc::bench::jv(res.stats.restores)},
-              {"value_replayed_steps",
-               cfc::bench::jv(res.stats.value_replayed_steps)},
-              {"value_replayed_per_node",
-               cfc::bench::jv(value_replayed_per_node)},
-              {"restore_marks", cfc::bench::jv(res.stats.restore_marks)},
-              {"sims_built", cfc::bench::jv(res.stats.sims_built)},
-              {"visited_bytes", cfc::bench::jv(res.stats.visited_bytes)},
-              {"visited_live_bytes",
-               cfc::bench::jv(res.stats.visited_live_bytes)}});
-    verify.check(res.stats.restores > 0 &&
-                     res.stats.value_replayed_steps > 0,
-                 "restore counters populated at depth " +
-                     std::to_string(depth));
-    verify.check(res.stats.visited_live_bytes <= res.stats.visited_bytes,
-                 "visited live bytes never exceed reserved at depth " +
-                     std::to_string(depth));
-    // The zero-construction invariant of the mark restore: the Sims built
-    // are the planner's plus one per pool worker, however many restores.
-    const auto threads = static_cast<std::uint64_t>(
-        runner_or_shared(runner.get()).thread_count());
-    verify.check(res.stats.sims_built ==
-                     1 + std::min(res.stats.work_items, threads),
-                 "rewind restores build no Sims at depth " +
-                     std::to_string(depth));
-    // Throughput regression guard vs the committed baseline's row of the
-    // same reduction and depth. Wall time is the one cross-host-noisy
-    // number here, so the gate carries a 30% guard band: it catches real
-    // hot-path regressions, not machine skew.
-    const double base_rate =
-        baseline_json.empty()
-            ? -1.0
-            : baseline_throughput_double(baseline_json, depth, opts.reduction,
-                                         "states_per_sec");
-    if (base_rate > 0.0 && !oversubscribed) {
-      verify.check(rate >= base_rate * 0.7,
-                   "states/sec not below baseline (30% band) at depth " +
-                       std::to_string(depth));
-    } else if (base_rate > 0.0) {
-      std::printf("  [note] pool of %d on %u hardware threads: baseline "
-                  "rate gate advisory at depth %d (%.0f vs %.0f)\n",
-                  opts.threads, hw_threads, depth, rate, base_rate);
+    double ms = 0.0;
+  };
+  Timed timed[2][3];
+  for (std::size_t pi = 0; pi < 2; ++pi) {
+    const ReductionPolicy reduction = kPolicies[pi];
+    for (std::size_t di = 0; di < 3; ++di) {
+      const int depth = kDepths[di];
+      Explorer::Result& res = timed[pi][di].res;
+      int runs_per_sample = 1;
+      const double ms = min_ms_per_run_of(
+          opts.repeat,
+          [&] {
+            const Explorer explorer(peterson_config(depth, reduction));
+            res = explorer.run(runner.get());
+          },
+          runs_per_sample);
+      timed[pi][di].ms = ms;
+      const double rate =
+          ms > 0 ? 1000.0 * static_cast<double>(res.stats.states_visited) / ms
+                 : 0.0;
+      const double value_replayed_per_node =
+          res.stats.states_visited
+              ? static_cast<double>(res.stats.value_replayed_steps) /
+                    static_cast<double>(res.stats.states_visited)
+              : 0.0;
+      const std::uint64_t leaves =
+          res.stats.runs_completed + res.stats.runs_truncated;
+      thr.add_row(
+          {name(reduction), std::to_string(depth),
+           std::to_string(res.stats.states_visited), std::to_string(leaves),
+           fixed(ms, 3), std::to_string(static_cast<long long>(rate)),
+           std::to_string(res.stats.restores),
+           fixed(value_replayed_per_node, 3),
+           std::to_string(res.stats.restore_marks),
+           std::to_string(res.stats.visited_bytes) + " (" +
+               std::to_string(res.stats.visited_live_bytes) + ")",
+           std::to_string(res.best.empty() ? 0 : res.best[0].steps)});
+      json.row({{"section", std::string("throughput")},
+                {"reduction", std::string(name(reduction))},
+                {"depth", cfc::bench::jv(depth)},
+                {"states", cfc::bench::jv(res.stats.states_visited)},
+                {"ms_min", cfc::bench::jv(ms)},
+                {"runs_per_sample", cfc::bench::jv(runs_per_sample)},
+                {"states_per_sec", cfc::bench::jv(rate)},
+                {"restores", cfc::bench::jv(res.stats.restores)},
+                {"value_replayed_steps",
+                 cfc::bench::jv(res.stats.value_replayed_steps)},
+                {"value_replayed_per_node",
+                 cfc::bench::jv(value_replayed_per_node)},
+                {"restore_marks", cfc::bench::jv(res.stats.restore_marks)},
+                {"sims_built", cfc::bench::jv(res.stats.sims_built)},
+                {"visited_bytes", cfc::bench::jv(res.stats.visited_bytes)},
+                {"visited_live_bytes",
+                 cfc::bench::jv(res.stats.visited_live_bytes)}});
     }
   }
   std::printf("%s\n", thr.render().c_str());
@@ -393,73 +284,31 @@ int main(int argc, char** argv) {
                cfc::bench::jv(unpruned.stats.states_visited)},
               {"ms_pruned_on", cfc::bench::jv(ms_pruned)},
               {"ms_pruned_off", cfc::bench::jv(ms_unpruned)}});
-    verify.check(same_best(pruned.best, unpruned.best),
-                 "pruning preserves the certified maxima");
-    verify.check(pruned.stats.states_visited <=
-                     unpruned.stats.states_visited,
-                 "pruning never visits more states");
   }
 
   // --- 3b. The POR reduction rows: source-dpor vs the unreduced search
-  // on the same cells, per depth — states explored, the in-run reduction
-  // factor, and (when --baseline names the committed
-  // BENCH_explorer_scaling.json) the factor against the baseline's
-  // recorded unreduced states. Hard gate: the reduced search must never
-  // explore more states than the unreduced search on the same cell, and
-  // must certify identical values.
+  // on the same cells, per depth, from section 1's runs — states
+  // explored, the in-run reduction factor and the reduction counters.
   {
     std::printf("Source-DPOR reduction vs the unreduced search:\n\n");
     TextTable red({"depth", "unreduced", "source-dpor", "factor", "races",
-                   "backtracks", "sleep-blocked", "vs baseline"});
-    const int depths[] = {12, 16, 20};
+                   "backtracks", "sleep-blocked"});
     for (std::size_t di = 0; di < 3; ++di) {
-      const int depth = depths[di];
-      Explorer::Result off;
-      double ms_off = 0.0;
-      if (opts.reduction == ReductionPolicy::Off) {
-        off = throughput_runs[di].first;  // already measured in section 1
-        ms_off = throughput_runs[di].second;
-      } else {
-        ms_off = cfc::bench::min_ms_of(opts.repeat, [&] {
-          off = Explorer(peterson_config(depth)).run(runner.get());
-        });
-      }
-      Explorer::Result dpor;
-      double ms_dpor = 0.0;
-      if (opts.reduction == ReductionPolicy::SourceDpor) {
-        dpor = throughput_runs[di].first;  // already measured in section 1
-        ms_dpor = throughput_runs[di].second;
-      } else {
-        ms_dpor = cfc::bench::min_ms_of(opts.repeat, [&] {
-          dpor = Explorer(peterson_config(depth, ReductionPolicy::SourceDpor))
-                     .run(runner.get());
-        });
-      }
+      const int depth = kDepths[di];
+      const Explorer::Result& off = timed[0][di].res;
+      const Explorer::Result& dpor = timed[1][di].res;
       const double factor =
           dpor.stats.states_visited
               ? static_cast<double>(off.stats.states_visited) /
                     static_cast<double>(dpor.stats.states_visited)
               : 0.0;
-      const long long base_states =
-          baseline_json.empty()
-              ? -1
-              : static_cast<long long>(baseline_throughput_double(
-                    baseline_json, depth, ReductionPolicy::Off, "states"));
-      const double base_factor =
-          base_states > 0 && dpor.stats.states_visited
-              ? static_cast<double>(base_states) /
-                    static_cast<double>(dpor.stats.states_visited)
-              : 0.0;
       red.add_row({std::to_string(depth),
                    std::to_string(off.stats.states_visited),
                    std::to_string(dpor.stats.states_visited),
-                   std::to_string(factor).substr(0, 5),
+                   fixed(factor, 3),
                    std::to_string(dpor.stats.races_detected),
                    std::to_string(dpor.stats.backtrack_points),
-                   std::to_string(dpor.stats.sleep_blocked),
-                   base_states > 0
-                       ? std::to_string(base_factor).substr(0, 5)
-                       : std::string("n/a")});
+                   std::to_string(dpor.stats.sleep_blocked)});
       json.row({{"section", std::string("reduction")},
                 {"depth", cfc::bench::jv(depth)},
                 {"states_unreduced",
@@ -467,68 +316,34 @@ int main(int argc, char** argv) {
                 {"states_source_dpor",
                  cfc::bench::jv(dpor.stats.states_visited)},
                 {"reduction_factor", cfc::bench::jv(factor)},
-                {"baseline_states", cfc::bench::jv(base_states)},
-                {"reduction_factor_vs_baseline",
-                 cfc::bench::jv(base_factor)},
                 {"races_detected",
                  cfc::bench::jv(dpor.stats.races_detected)},
                 {"backtrack_points",
                  cfc::bench::jv(dpor.stats.backtrack_points)},
                 {"sleep_blocked", cfc::bench::jv(dpor.stats.sleep_blocked)},
                 {"cache_hits", cfc::bench::jv(dpor.stats.pruned_visited)},
-                {"ms_unreduced", cfc::bench::jv(ms_off)},
-                {"ms_source_dpor", cfc::bench::jv(ms_dpor)}});
-      verify.check(same_best(off.best, dpor.best),
-                   "source-dpor certifies the unreduced values at depth " +
-                       std::to_string(depth));
-      verify.check(
-          dpor.stats.states_visited <= off.stats.states_visited,
-          "source-dpor explores no more states than the unreduced search "
-          "at depth " +
-              std::to_string(depth));
-      verify.check(dpor.stats.races_detected > 0 &&
-                       dpor.stats.backtrack_points > 0,
-                   "reduction counters populated at depth " +
-                       std::to_string(depth));
-      // The stateful-cache regression ceiling: the sleep-set-aware visited
-      // cache composes with source-dpor, so today's reduced search must
-      // never explore MORE states than the committed baseline's recorded
-      // source-dpor run on the same cell.
-      const long long base_dpor_states =
-          baseline_json.empty()
-              ? -1
-              : static_cast<long long>(baseline_row_double(
-                    baseline_json, "reduction", depth, "states_source_dpor"));
-      if (base_dpor_states > 0) {
-        verify.check(
-            dpor.stats.states_visited <=
-                static_cast<std::uint64_t>(base_dpor_states),
-            "stateful source-dpor explores no more states than the "
-            "baseline's source-dpor run at depth " +
-                std::to_string(depth));
-      }
+                {"ms_unreduced", cfc::bench::jv(timed[0][di].ms)},
+                {"ms_source_dpor", cfc::bench::jv(timed[1][di].ms)}});
     }
     std::printf("%s\n", red.render().c_str());
   }
 
   // --- 3c. Stateful vs stateless source-dpor on the re-convergent cell
   // (peterson-tree, n=4): the tournament tree's schedule lattice
-  // re-converges massively, so the sleep-set-aware visited cache should
-  // collapse both the state count and — the ISSUE headline — the
-  // sleep_blocked counter, which under stateless source-dpor counts every
-  // re-arrival at an already-settled interleaving. Hard gates: identical
-  // certified values, never more states, and sleep_blocked down >= 10x.
+  // re-converges massively, so the sleep-set-aware visited cache collapses
+  // both the state count and the sleep_blocked counter, which under
+  // stateless source-dpor counts every re-arrival at an already-settled
+  // interleaving.
   {
     std::printf(
         "Stateful vs stateless source-DPOR (peterson-tree, n=4):\n\n");
     TextTable tree({"depth", "stateless", "stateful", "factor",
                     "sleep-blk stateless", "sleep-blk stateful",
                     "cache-hits"});
-    const int tree_depths[] = {12, 14};
-    for (const int depth : tree_depths) {
+    for (const int depth : {12, 14}) {
       Explorer::Result stateless;
       Explorer::Config off_cfg = tree_dpor_config(depth);
-      off_cfg.limits.prune_visited = false;  // PR 6 behavior: no cache
+      off_cfg.limits.prune_visited = false;
       const double ms_less = cfc::bench::min_ms_of(opts.repeat, [&] {
         stateless = Explorer(off_cfg).run(runner.get());
       });
@@ -544,7 +359,7 @@ int main(int argc, char** argv) {
       tree.add_row({std::to_string(depth),
                     std::to_string(stateless.stats.states_visited),
                     std::to_string(stateful.stats.states_visited),
-                    std::to_string(factor).substr(0, 5),
+                    fixed(factor, 3),
                     std::to_string(stateless.stats.sleep_blocked),
                     std::to_string(stateful.stats.sleep_blocked),
                     std::to_string(stateful.stats.pruned_visited)});
@@ -563,19 +378,6 @@ int main(int argc, char** argv) {
                  cfc::bench::jv(stateful.stats.pruned_visited)},
                 {"ms_stateless", cfc::bench::jv(ms_less)},
                 {"ms_stateful", cfc::bench::jv(ms_ful)}});
-      verify.check(same_best(stateless.best, stateful.best),
-                   "stateful source-dpor certifies the stateless values at "
-                   "depth " +
-                       std::to_string(depth));
-      verify.check(
-          stateful.stats.states_visited <= stateless.stats.states_visited,
-          "the sleep-set-aware cache never adds states at depth " +
-              std::to_string(depth));
-      verify.check(
-          stateful.stats.sleep_blocked * 10 <=
-              stateless.stats.sleep_blocked,
-          "sleep_blocked drops >= 10x under the stateful cache at depth " +
-              std::to_string(depth));
     }
     std::printf("%s\n", tree.render().c_str());
   }
@@ -606,9 +408,6 @@ int main(int argc, char** argv) {
     RandomScheduler rnd(opts.seed);
     drive(original, rnd, RunLimits{1200});
     const std::vector<ScheduleUnit> prefix = original.schedule_log();
-    const std::size_t prefix_len = prefix.size();
-    const std::uint64_t prefix_fp = original.memory().fingerprint();
-    const Seq prefix_seq = original.next_seq();
     const auto restep = [&prefix](Sim& sim) {
       for (const ScheduleUnit& u : prefix) {
         if (u.start_only) {
@@ -646,19 +445,14 @@ int main(int argc, char** argv) {
     std::printf(
         "  prefix %zu picks x %d restores: base-mark rewind + re-step "
         "%.1f ms, from-scratch %.1f ms (%.2fx rewind vs scratch)\n\n",
-        prefix_len, iters, ms_rewind, ms_scratch,
+        prefix.size(), iters, ms_rewind, ms_scratch,
         ms_rewind > 0 ? ms_scratch / ms_rewind : 0.0);
     json.row({{"section", std::string("sim_restore")},
               {"prefix_picks",
-               cfc::bench::jv(static_cast<long long>(prefix_len))},
+               cfc::bench::jv(static_cast<long long>(prefix.size()))},
               {"iters", cfc::bench::jv(iters)},
               {"rewind_ms", cfc::bench::jv(ms_rewind)},
               {"scratch_ms", cfc::bench::jv(ms_scratch)}});
-    verify.check(original.memory().fingerprint() == prefix_fp &&
-                     original.next_seq() == prefix_seq &&
-                     original.schedule_log().size() == prefix_len,
-                 "base-mark rewind + re-step returns to the end of the "
-                 "prefix");
     // Noise guard only: rewind must at least keep up with from-scratch.
     verify.check(ms_rewind <= ms_scratch * 1.25,
                  "recycled rewind not slower than from-scratch replay");
@@ -666,12 +460,10 @@ int main(int argc, char** argv) {
 
   // --- 4b. Work-stealing thread scaling of the parallel source-DPOR
   // path: a four-process tree search whose planner fans a wide frontier
-  // of work items over per-worker engines. Certified values, states, and
-  // every thread-invariant counter must match the sequential reference
-  // exactly at every pool size; the speedup gate only binds on hosts with
+  // of work items over per-worker engines. The pool sizes are sampled in
+  // interleaved rounds (like section 4), so host drift between the rows
+  // cannot decide the speedup gate; the gate only binds on hosts with
   // >= 4 hardware threads (elsewhere the pool adds overhead, not cores).
-  // Each rate is timed like the throughput rows (>= 50 ms samples), so
-  // the gate compares rates that rise above scheduler noise.
   {
     const int depth = 14;
     std::printf(
@@ -679,89 +471,59 @@ int main(int argc, char** argv) {
         depth);
     TextTable scale({"threads", "ms", "states/sec", "speedup", "work items",
                      "steals"});
-    Explorer::Result ref;
-    double rate1 = 0.0;
-    double rate4 = 0.0;
-    for (const int threads : {1, 2, 4}) {
-      ExperimentRunner pool(threads);
-      Explorer::Result r;
-      int runs_per_sample = 1;
-      const double ms = min_ms_per_run_of(
-          opts.repeat,
-          [&] { r = Explorer(tree_dpor_config(depth)).run(&pool); },
-          runs_per_sample);
-      const double rate =
-          ms > 0 ? 1000.0 * static_cast<double>(r.stats.states_visited) / ms
-                 : 0.0;
-      if (threads == 1) {
-        ref = r;
-        rate1 = rate;
-        verify.check(r.stats.work_items > 1,
-                     "planner fans out multiple work items");
-      } else {
-        verify.check(same_best(ref.best, r.best) &&
-                         ref.stats.states_visited == r.stats.states_visited &&
-                         ref.stats.races_detected == r.stats.races_detected &&
-                         ref.stats.backtrack_points ==
-                             r.stats.backtrack_points &&
-                         ref.stats.sleep_blocked == r.stats.sleep_blocked &&
-                         ref.stats.work_items == r.stats.work_items &&
-                         ref.stats.restore_marks == r.stats.restore_marks &&
-                         ref.stats.violations == r.stats.violations,
-                     "parallel run matches sequential at threads=" +
-                         std::to_string(threads));
-      }
-      if (threads == 4) {
-        rate4 = rate;
-      }
-      scale.add_row(
-          {std::to_string(threads),
-           std::to_string(static_cast<long long>(ms)),
-           std::to_string(static_cast<long long>(rate)),
-           std::to_string(rate1 > 0 ? rate / rate1 : 0.0).substr(0, 4),
-           std::to_string(r.stats.work_items),
-           std::to_string(r.stats.steals)});
+    const int thread_counts[] = {1, 2, 4};
+    std::vector<std::unique_ptr<ExperimentRunner>> pools;
+    std::vector<Explorer::Result> results(3);
+    std::vector<std::function<void()>> bodies;
+    for (std::size_t i = 0; i < 3; ++i) {
+      pools.push_back(std::make_unique<ExperimentRunner>(thread_counts[i]));
+      bodies.emplace_back([&, i] {
+        results[i] = Explorer(tree_dpor_config(depth)).run(pools[i].get());
+      });
+    }
+    std::vector<int> runs_per_sample;
+    const std::vector<double> ms =
+        interleaved_min_ms_per_run(opts.repeat, bodies, &runs_per_sample);
+    std::vector<double> rate(3, 0.0);
+    for (std::size_t i = 0; i < 3; ++i) {
+      const Explorer::Result& r = results[i];
+      rate[i] = ms[i] > 0 ? 1000.0 *
+                                static_cast<double>(r.stats.states_visited) /
+                                ms[i]
+                          : 0.0;
+      const double speedup = rate[0] > 0 ? rate[i] / rate[0] : 0.0;
+      scale.add_row({std::to_string(thread_counts[i]), fixed(ms[i], 3),
+                     std::to_string(static_cast<long long>(rate[i])),
+                     fixed(speedup, 2), std::to_string(r.stats.work_items),
+                     std::to_string(r.stats.steals)});
       json.row({{"section", std::string("thread_scaling")},
-                {"threads", cfc::bench::jv(threads)},
-                {"ms_min", cfc::bench::jv(ms)},
-                {"runs_per_sample", cfc::bench::jv(runs_per_sample)},
-                {"states_per_sec", cfc::bench::jv(rate)},
-                {"speedup_vs_1", cfc::bench::jv(rate1 > 0 ? rate / rate1
-                                                          : 0.0)},
+                {"threads", cfc::bench::jv(thread_counts[i])},
+                {"ms_min", cfc::bench::jv(ms[i])},
+                {"runs_per_sample", cfc::bench::jv(runs_per_sample[i])},
+                {"states_per_sec", cfc::bench::jv(rate[i])},
+                {"speedup_vs_1", cfc::bench::jv(speedup)},
                 {"work_items", cfc::bench::jv(r.stats.work_items)},
                 {"steals", cfc::bench::jv(r.stats.steals)},
                 {"sims_built", cfc::bench::jv(r.stats.sims_built)},
                 {"states", cfc::bench::jv(r.stats.states_visited)}});
     }
     std::printf("%s\n", scale.render().c_str());
-    if (std::thread::hardware_concurrency() >= 4) {
-      verify.check(rate4 >= 2.5 * rate1,
+    const unsigned hw_threads = std::thread::hardware_concurrency();
+    if (hw_threads >= 4) {
+      verify.check(rate[2] >= 2.5 * rate[0],
                    "parallel source-dpor >= 2.5x states/sec at 4 threads");
-      verify.check(rate4 >= rate1,
-                   "threads=4 not below threads=1 states/sec");
-    } else if (rate4 < rate1) {
-      // Advisory on starved hosts: with fewer hardware threads than pool
-      // workers, the pool's scheduling overhead competes with the search
-      // itself for the same cores, so a slowdown here does not indicate a
-      // work-stealing regression.
-      std::printf(
-          "  [note] threads=4 at %.2fx of threads=1 on %u hardware "
-          "thread(s): pool overhead without extra cores — speedup gates "
-          "are advisory on this host\n\n",
-          rate1 > 0 ? rate4 / rate1 : 0.0,
-          std::thread::hardware_concurrency());
     } else {
       std::printf(
-          "  [note] %u hardware threads: the 4-thread speedup gate is "
+          "  [note] %u hardware thread(s): the 4-thread speedup gate is "
           "advisory only on this host (measured %.2fx)\n\n",
-          std::thread::hardware_concurrency(),
-          rate1 > 0 ? rate4 / rate1 : 0.0);
+          hw_threads, rate[0] > 0 ? rate[2] / rate[0] : 0.0);
     }
   }
 
-  // --- 5. Thread-count invariance of the certified results, checked on
-  // the canonical serialization: the study JSONs (timing excluded) must be
-  // byte-identical between the sequential reference engine and a pool.
+  // --- 5. Thread-count invariance of the certified results, read on the
+  // canonical serialization: the study JSONs (timing excluded) of the
+  // sequential reference engine and a pool (PorStudyJson.* in ctest
+  // asserts the identity).
   {
     ExperimentRunner seq(1);
     ExperimentRunner par(4);
@@ -776,9 +538,6 @@ int main(int argc, char** argv) {
               {"identical", cfc::bench::jv(identical ? 1 : 0)},
               {"entry_steps", cfc::bench::jv(a.wc_entry.steps)},
               {"states_visited", cfc::bench::jv(a.states_visited)}});
-    verify.check(identical,
-                 "canonical study JSON bit-identical for threads=1 vs 4");
-    verify.check(a.certified, "exhaustive search certified at depth 18");
   }
 
   // --- 6. The --study-out payload: a fixed pair of source-dpor studies

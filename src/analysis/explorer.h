@@ -37,8 +37,8 @@ enum class ReductionPolicy : std::uint8_t {
 
 [[nodiscard]] const char* name(ReductionPolicy p);
 
-/// Parses "off" | "source-dpor" (the bench --reduction flag's and the
-/// study JSON's vocabulary); nullopt on anything else.
+/// Parses "off" | "source-dpor" (the study JSON's vocabulary); nullopt
+/// on anything else.
 [[nodiscard]] std::optional<ReductionPolicy> reduction_policy_from(
     std::string_view s);
 

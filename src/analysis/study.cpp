@@ -140,21 +140,6 @@ StudySpec& StudySpec::progress(std::string path, int interval_ms) {
   return *this;
 }
 
-StudySpec& StudySpec::limits(const ExploreLimits& l) {
-  // Replacing the budget struct must not silently revert the reduction
-  // policy a prior worst_case(Exhaustive) defaulted (the builder stays
-  // order-independent): a struct that names no policy keeps the current
-  // one. An explicit choice — reduction() before/after, or a struct
-  // carrying a policy — always wins; to force the unreduced tree, call
-  // reduction(ReductionPolicy::Off).
-  const ReductionPolicy keep = search.limits.reduction;
-  search.limits = l;
-  if (l.reduction == ReductionPolicy::Off) {
-    search.limits.reduction = keep;
-  }
-  return *this;
-}
-
 StudySpec& StudySpec::depth(int max_depth) {
   search.limits.max_depth = max_depth;
   return *this;

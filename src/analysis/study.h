@@ -147,11 +147,6 @@ struct StudySpec {
   /// the campaign runs — JSONL to `path`, or the human format to stderr
   /// when `path` is empty. Observational only, like trace().
   StudySpec& progress(std::string path = {}, int interval_ms = 500);
-  /// Replaces the DFS budgets. A struct that names no reduction policy
-  /// keeps the one already selected (e.g. worst_case(Exhaustive)'s
-  /// source-dpor default), so the fluent order does not matter; use
-  /// reduction(ReductionPolicy::Off) to force the unreduced tree.
-  StudySpec& limits(const ExploreLimits& l);
   StudySpec& depth(int max_depth);
   StudySpec& factory(MutexFactory f);
   StudySpec& factory(NamingFactory f);

@@ -221,7 +221,7 @@ TEST(Explorer, TruncationIsSurfacedInReports) {
 // The exact traversal of every search configuration the explorer offers,
 // pinned counter by counter: a refactor of the DFS must keep each search
 // walking the same tree in the same order, not just certify the same
-// values. The rows are the explorer's own output on the two cells below;
+// values. The rows are the explorer's own output on the cells below;
 // every pinned counter is thread-count invariant, so the shared pool's
 // size does not matter.
 struct TraversalPin {
@@ -233,6 +233,7 @@ struct TraversalPin {
   bool prune;
   std::array<std::uint64_t, 12> counters;
   std::uint64_t max_states = 0;
+  int depth = 12;
 };
 
 constexpr std::uint64_t ExploreStats::*kPinnedCounters[] = {
@@ -244,17 +245,18 @@ constexpr std::uint64_t ExploreStats::*kPinnedCounters[] = {
     &ExploreStats::value_replayed_steps, &ExploreStats::work_items,
 };
 
-Explorer::Config pinned_config(const TraversalPin& pin) {
+/// The mutex worst-case objective of the study layer (clean-entry and
+/// exit window maxima, keyed on the window digest) over `subject` at `n`
+/// processes, one session each; `crash` arms crash_after(1, 2).
+Explorer::Config window_config(const char* subject, int n, int depth,
+                               ReductionPolicy reduction,
+                               bool crash = false) {
   const MutexFactory factory =
-      AlgorithmRegistry::instance().mutex(pin.subject).factory;
-  const int n = pin.n;
-  const bool crash = pin.crash;
+      AlgorithmRegistry::instance().mutex(subject).factory;
   Explorer::Config cfg;
   cfg.nprocs = n;
-  cfg.limits.max_depth = 12;
-  cfg.limits.reduction = pin.reduction;
-  cfg.limits.prune_visited = pin.prune;
-  cfg.limits.max_states = pin.max_states;
+  cfg.limits.max_depth = depth;
+  cfg.limits.reduction = reduction;
   cfg.setup = [factory, n, crash](Sim& sim) -> std::shared_ptr<void> {
     std::shared_ptr<void> alg = setup_mutex(sim, factory, n, 1);
     if (crash) {
@@ -274,6 +276,14 @@ Explorer::Config pinned_config(const TraversalPin& pin) {
   cfg.objective.digest = [](const MeasureAccumulator& acc) {
     return acc.window_digest();
   };
+  return cfg;
+}
+
+Explorer::Config pinned_config(const TraversalPin& pin) {
+  Explorer::Config cfg = window_config(pin.subject, pin.n, pin.depth,
+                                       pin.reduction, pin.crash);
+  cfg.limits.prune_visited = pin.prune;
+  cfg.limits.max_states = pin.max_states;
   return cfg;
 }
 
@@ -310,6 +320,22 @@ TEST(Explorer, PinsTheTraversalOfEverySearchConfiguration) {
        {224, 14, 15, 0, 0, 52, 42, 31, 54, 168, 404, 15}},
       {"source-dpor, stateful", "lamport-fast", 2, true, kDpor, true,
        {122, 5, 9, 24, 0, 25, 29, 1, 37, 85, 271, 5}},
+      // peterson-2p n=2 at d12/16/20: the throughput cells of the
+      // explorer_scaling bench. Source-dpor explores fewer states than the
+      // unreduced search at every depth, and its race and backtrack
+      // counters are populated.
+      {"off, pruning on, d12", "peterson-2p", 2, false, kOff, true,
+       {529, 14, 100, 109, 0, 0, 0, 0, 222, 222, 1985, 8}, 0, 12},
+      {"source-dpor, stateful, d12", "peterson-2p", 2, false, kDpor, true,
+       {163, 6, 31, 3, 0, 46, 30, 9, 39, 123, 268, 8}, 0, 12},
+      {"off, pruning on, d16", "peterson-2p", 2, false, kOff, true,
+       {1045, 36, 140, 255, 0, 0, 0, 0, 430, 430, 5013, 8}, 0, 16},
+      {"source-dpor, stateful, d16", "peterson-2p", 2, false, kDpor, true,
+       {255, 10, 39, 3, 0, 62, 42, 13, 51, 203, 460, 8}, 0, 16},
+      {"off, pruning on, d20", "peterson-2p", 2, false, kOff, true,
+       {1721, 66, 180, 457, 0, 0, 0, 0, 702, 702, 10057, 8}, 0, 20},
+      {"source-dpor, stateful, d20", "peterson-2p", 2, false, kDpor, true,
+       {363, 14, 47, 3, 0, 78, 54, 17, 63, 299, 700, 8}, 0, 20},
   };
   for (const TraversalPin& pin : pins) {
     SCOPED_TRACE(std::string(pin.subject) + ": " + pin.what);
@@ -319,6 +345,78 @@ TEST(Explorer, PinsTheTraversalOfEverySearchConfiguration) {
       got[i] = r.stats.*kPinnedCounters[i];
     }
     EXPECT_EQ(got, pin.counters);
+  }
+}
+
+void expect_same_report(const ComplexityReport& a,
+                        const ComplexityReport& b) {
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.registers, b.registers);
+  EXPECT_EQ(a.read_steps, b.read_steps);
+  EXPECT_EQ(a.write_steps, b.write_steps);
+  EXPECT_EQ(a.read_registers, b.read_registers);
+  EXPECT_EQ(a.write_registers, b.write_registers);
+  EXPECT_EQ(a.atomicity, b.atomicity);
+  EXPECT_EQ(a.truncated, b.truncated);
+}
+
+void expect_same_maxima(const Explorer::Result& a,
+                        const Explorer::Result& b) {
+  ASSERT_EQ(a.best.size(), b.best.size());
+  for (std::size_t i = 0; i < a.best.size(); ++i) {
+    SCOPED_TRACE("objective field " + std::to_string(i));
+    expect_same_report(a.best[i], b.best[i]);
+  }
+}
+
+// The throughput cells of the explorer_scaling bench (peterson-2p n=2,
+// d12/16/20): source-dpor certifies the unreduced maxima, and under both
+// policies the visited cache never holds more live bytes than it
+// reserved. Their state, race, backtrack and restore counts are pinned in
+// PinsTheTraversalOfEverySearchConfiguration.
+TEST(Explorer, SourceDporCertifiesTheUnreducedPetersonValuesAtEveryDepth) {
+  for (const int depth : {12, 16, 20}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    const Explorer::Result off =
+        Explorer(window_config("peterson-2p", 2, depth, ReductionPolicy::Off))
+            .run();
+    const Explorer::Result dpor =
+        Explorer(window_config("peterson-2p", 2, depth,
+                               ReductionPolicy::SourceDpor))
+            .run();
+    expect_same_maxima(off, dpor);
+    EXPECT_FALSE(dpor.stats.state_budget_hit);
+    EXPECT_LE(off.stats.visited_live_bytes, off.stats.visited_bytes);
+    EXPECT_LE(dpor.stats.visited_live_bytes, dpor.stats.visited_bytes);
+  }
+  // The study the bench serializes at depth 18 is certified.
+  EXPECT_TRUE(run_study(StudySpec::of("peterson-2p")
+                            .n(2)
+                            .worst_case(SearchStrategy::Exhaustive)
+                            .depth(18))
+                  .certified);
+}
+
+// peterson-tree n=4 re-converges massively. Against stateless source-dpor
+// the sleep-set-aware visited cache must certify the same values with no
+// more states, and cut sleep_blocked (which counts every re-arrival at an
+// already-settled interleaving) at least 10x.
+TEST(Explorer, StatefulSourceDporCutsSleepBlockedTenfoldOnPetersonTreeN4) {
+  for (const int depth : {12, 14}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    Explorer::Config no_cache =
+        window_config("peterson-tree", 4, depth, ReductionPolicy::SourceDpor);
+    no_cache.limits.prune_visited = false;
+    const Explorer::Result stateless = Explorer(no_cache).run();
+    const Explorer::Result stateful =
+        Explorer(window_config("peterson-tree", 4, depth,
+                               ReductionPolicy::SourceDpor))
+            .run();
+    expect_same_maxima(stateless, stateful);
+    EXPECT_LE(stateful.stats.states_visited, stateless.stats.states_visited);
+    EXPECT_LE(stateful.stats.sleep_blocked * 10,
+              stateless.stats.sleep_blocked);
+    EXPECT_GT(stateful.stats.work_items, 1u);
   }
 }
 
@@ -395,17 +493,19 @@ TEST(Explorer, NewCountersAreThreadInvariant) {
 
 TEST(Explorer, VisitedPruningOnlyDropsRedundantWork) {
   // Pruning must not change the certified values, only the visit count.
-  WorstCaseSearchOptions pruned = exhaustive_opts(14);
-  WorstCaseSearchOptions unpruned = exhaustive_opts(14);
-  unpruned.limits.prune_visited = false;
-  const MutexWcSearchResult a =
-      search_mutex_worst_case(Peterson::factory(), 2, 1, pruned);
-  const MutexWcSearchResult b =
-      search_mutex_worst_case(Peterson::factory(), 2, 1, unpruned);
-  EXPECT_EQ(a.entry.steps, b.entry.steps);
-  EXPECT_EQ(a.entry.registers, b.entry.registers);
-  EXPECT_EQ(a.exit.steps, b.exit.steps);
-  EXPECT_LE(a.states_visited, b.states_visited);
+  for (const int depth : {14, 16}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    WorstCaseSearchOptions pruned = exhaustive_opts(depth);
+    WorstCaseSearchOptions unpruned = exhaustive_opts(depth);
+    unpruned.limits.prune_visited = false;
+    const MutexWcSearchResult a =
+        search_mutex_worst_case(Peterson::factory(), 2, 1, pruned);
+    const MutexWcSearchResult b =
+        search_mutex_worst_case(Peterson::factory(), 2, 1, unpruned);
+    expect_same_report(a.entry, b.entry);
+    expect_same_report(a.exit, b.exit);
+    EXPECT_LE(a.states_visited, b.states_visited);
+  }
 }
 
 }  // namespace

@@ -401,13 +401,11 @@ TEST(PorStudyJson, UnreducedByteIdenticalAcrossThreadCounts) {
     cells.push_back({name, 3});
   }
   for (const Cell& c : cells) {
-    ExploreLimits limits;
-    limits.max_depth = 12;
     const StudySpec spec = StudySpec::of(c.name)
                                .kind(StudyKind::Mutex)
                                .n(c.n)
                                .worst_case(SearchStrategy::Exhaustive)
-                               .limits(limits)
+                               .depth(12)
                                .reduction(ReductionPolicy::Off);
     const std::string what =
         c.name + " n=" + std::to_string(c.n) + " off exhaustive";

@@ -402,29 +402,6 @@ TEST(StudyReduction, ExhaustiveDefaultsToSourceDporAndSurfacesCounters) {
   (void)campaign.run(nullptr, &stats);
   EXPECT_EQ(stats.tasks_planned, 2u);
   EXPECT_EQ(stats.tasks_deduplicated, 0u);
-
-  // The fluent order must not matter: replacing the budget struct after
-  // worst_case(Exhaustive) keeps the reduced default (a limits struct
-  // naming no policy preserves the current one), while a struct that
-  // names one wins.
-  StudySpec reordered = StudySpec::of("peterson-2p")
-                            .kind(StudyKind::Mutex)
-                            .n(2)
-                            .worst_case(SearchStrategy::Exhaustive);
-  ExploreLimits budgets;
-  budgets.max_depth = 14;
-  reordered.limits(budgets);
-  EXPECT_EQ(reordered.search.limits.reduction, ReductionPolicy::SourceDpor);
-  EXPECT_EQ(reordered.search.limits.max_depth, 14);
-  StudySpec unreduced = StudySpec::of("peterson-2p")
-                            .kind(StudyKind::Mutex)
-                            .n(2)
-                            .worst_case(SearchStrategy::Exhaustive)
-                            .reduction(ReductionPolicy::Off);
-  ExploreLimits named;
-  named.reduction = ReductionPolicy::SourceDpor;
-  unreduced.limits(named);
-  EXPECT_EQ(unreduced.search.limits.reduction, ReductionPolicy::SourceDpor);
 }
 
 }  // namespace

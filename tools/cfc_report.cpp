@@ -1,9 +1,12 @@
-// cfc_report: CI-side consumer for the observability payloads.
+// cfc_report: consumer for the bench and observability payloads.
 //
 //   cfc_report diff <baseline.json> <current.json> [--max-regress <pct>]
-//     Compares two cfc.bench.v1 payloads row by row. Rows are matched on
-//     their identity fields (every string field plus the run parameters
-//     n/depth/threads/l/seed/repeat); for each matched pair every shared
+//     A same-host A/B: compares two cfc.bench.v1 payloads (say, one bench
+//     run on the base commit and one on a change, on the same machine)
+//     row by row; payloads from two hosts compare the hosts, not the
+//     code. Rows are matched on their identity fields (every string field
+//     plus the run parameters n/depth/threads/l/seed/repeat); for each
+//     matched pair every shared
 //     numeric field is reported, and throughput fields (keys ending in
 //     "_per_sec", where lower is worse) gate the exit status: a drop of
 //     more than <pct> percent (default 3) fails the diff. Rows present in
