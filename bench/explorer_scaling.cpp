@@ -128,31 +128,28 @@ double min_ms_per_run_of(int repeat, F&& body, int& runs_per_sample) {
 /// is sized to >= kMinSampleMs samples, then all are sampled in
 /// max(repeat, 10) interleaved rounds, so a shift in host speed between
 /// the bodies cannot decide the comparison. Returns each body's min ms per
-/// run, in order; `runs_per_sample`, when given, receives the sizing.
+/// run, in order; `runs_per_sample` reports each body's sizing.
 std::vector<double> interleaved_min_ms_per_run(
     int repeat, const std::vector<std::function<void()>>& bodies,
-    std::vector<int>* runs_per_sample = nullptr) {
-  std::vector<int> runs(bodies.size(), 1);
+    std::vector<int>& runs_per_sample) {
+  runs_per_sample.assign(bodies.size(), 1);
   std::vector<double> best(bodies.size(), -1.0);
   for (int round = -1; round < std::max(repeat, 10); ++round) {
     for (std::size_t b = 0; b < bodies.size(); ++b) {
       const auto sample = [&] {
-        for (int i = 0; i < runs[b]; ++i) {
+        for (int i = 0; i < runs_per_sample[b]; ++i) {
           bodies[b]();
         }
       };
       if (round < 0) {  // sizing; these samples double as warm-up
         while (cfc::bench::min_ms_of(1, sample) < kMinSampleMs) {
-          runs[b] *= 2;
+          runs_per_sample[b] *= 2;
         }
         continue;
       }
-      const double ms = cfc::bench::min_ms_of(1, sample) / runs[b];
+      const double ms = cfc::bench::min_ms_of(1, sample) / runs_per_sample[b];
       best[b] = best[b] < 0.0 ? ms : std::min(best[b], ms);
     }
-  }
-  if (runs_per_sample != nullptr) {
-    *runs_per_sample = runs;
   }
   return best;
 }
@@ -196,7 +193,7 @@ int main(int argc, char** argv) {
   constexpr ReductionPolicy kPolicies[] = {ReductionPolicy::Off,
                                            ReductionPolicy::SourceDpor};
   constexpr int kDepths[] = {12, 16, 20};
-  // Section 3b reads both policies' runs from here.
+  // Sections 3 and 3b read these runs.
   struct Timed {
     Explorer::Result res;
     double ms = 0.0;
@@ -257,13 +254,12 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", thr.render().c_str());
 
-  // --- 3. Visited-state pruning.
+  // --- 3. Visited-state pruning at depth 16: the pruned side is
+  // section 1's unreduced run.
   {
-    Explorer::Result pruned;
+    const Explorer::Result& pruned = timed[0][1].res;
+    const double ms_pruned = timed[0][1].ms;
     Explorer::Result unpruned;
-    const double ms_pruned = cfc::bench::min_ms_of(opts.repeat, [&] {
-      pruned = Explorer(peterson_config(16)).run(runner.get());
-    });
     Explorer::Config no_prune = peterson_config(16);
     no_prune.limits.prune_visited = false;
     const double ms_unpruned = cfc::bench::min_ms_of(opts.repeat, [&] {
@@ -422,6 +418,7 @@ int main(int argc, char** argv) {
     // the same prefix live, so the gate below compares two close numbers:
     // the sides are timed in interleaved >= 50 ms samples.
     const int iters = 100;
+    std::vector<int> runs_per_sample;
     const std::vector<double> ms = interleaved_min_ms_per_run(
         opts.repeat,
         {[&] {
@@ -439,7 +436,8 @@ int main(int argc, char** argv) {
              scratch.add_sink(fresh);
              restep(scratch);
            }
-         }});
+         }},
+        runs_per_sample);
     const double ms_rewind = ms[0];
     const double ms_scratch = ms[1];
     std::printf(
@@ -483,7 +481,7 @@ int main(int argc, char** argv) {
     }
     std::vector<int> runs_per_sample;
     const std::vector<double> ms =
-        interleaved_min_ms_per_run(opts.repeat, bodies, &runs_per_sample);
+        interleaved_min_ms_per_run(opts.repeat, bodies, runs_per_sample);
     std::vector<double> rate(3, 0.0);
     for (std::size_t i = 0; i < 3; ++i) {
       const Explorer::Result& r = results[i];

@@ -400,7 +400,9 @@ TEST(Explorer, SourceDporCertifiesTheUnreducedPetersonValuesAtEveryDepth) {
 // peterson-tree n=4 re-converges massively. Against stateless source-dpor
 // the sleep-set-aware visited cache must certify the same values with no
 // more states, and cut sleep_blocked (which counts every re-arrival at an
-// already-settled interleaving) at least 10x.
+// already-settled interleaving) at least 10x. The stateful search is also
+// the widest fan-out of the explorer_scaling bench's thread scaling rows,
+// so its thread invariance is checked here.
 TEST(Explorer, StatefulSourceDporCutsSleepBlockedTenfoldOnPetersonTreeN4) {
   for (const int depth : {12, 14}) {
     SCOPED_TRACE("depth " + std::to_string(depth));
@@ -417,6 +419,24 @@ TEST(Explorer, StatefulSourceDporCutsSleepBlockedTenfoldOnPetersonTreeN4) {
     EXPECT_LE(stateful.stats.sleep_blocked * 10,
               stateless.stats.sleep_blocked);
     EXPECT_GT(stateful.stats.work_items, 1u);
+    // The planner's wide frontier is spread over pools of 1 and 4: the
+    // values and every thread-invariant counter match the shared pool's.
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      ExperimentRunner pool(threads);
+      const Explorer::Result r =
+          Explorer(window_config("peterson-tree", 4, depth,
+                                 ReductionPolicy::SourceDpor))
+              .run(&pool);
+      expect_same_maxima(stateful, r);
+      EXPECT_EQ(r.stats.states_visited, stateful.stats.states_visited);
+      EXPECT_EQ(r.stats.races_detected, stateful.stats.races_detected);
+      EXPECT_EQ(r.stats.backtrack_points, stateful.stats.backtrack_points);
+      EXPECT_EQ(r.stats.sleep_blocked, stateful.stats.sleep_blocked);
+      EXPECT_EQ(r.stats.work_items, stateful.stats.work_items);
+      EXPECT_EQ(r.stats.restore_marks, stateful.stats.restore_marks);
+      EXPECT_EQ(r.stats.violations, stateful.stats.violations);
+    }
   }
 }
 
@@ -469,26 +489,30 @@ TEST(Explorer, NewCountersAreThreadInvariant) {
   // restores / value_replayed_steps / visited_bytes are per-item
   // deterministic sums, so they must not depend on the pool size.
   // sims_built counts one Sim per engine: the planner's plus one per pool
-  // worker, and a pool never runs more workers than items.
+  // worker, and a pool never runs more workers than items — however many
+  // restores the items pay. Checked under both policies, since only `off`
+  // runs its items in waves.
   ExperimentRunner seq(1);
   ExperimentRunner par(4);
-  Explorer::Config cfg;
-  cfg.nprocs = 2;
-  cfg.limits.max_depth = 14;
-  cfg.setup = [](Sim& sim) -> std::shared_ptr<void> {
-    return setup_mutex(sim, Peterson::factory(), 2, 1);
-  };
-  const Explorer explorer(cfg);
-  const Explorer::Result a = explorer.run(&seq);
-  const Explorer::Result b = explorer.run(&par);
-  EXPECT_EQ(a.stats.restores, b.stats.restores);
-  EXPECT_EQ(a.stats.value_replayed_steps, b.stats.value_replayed_steps);
-  EXPECT_EQ(a.stats.visited_bytes, b.stats.visited_bytes);
-  EXPECT_EQ(a.stats.sims_built,
-            1 + std::min<std::uint64_t>(a.stats.work_items, 1));
-  EXPECT_EQ(b.stats.sims_built,
-            1 + std::min<std::uint64_t>(b.stats.work_items, 4));
-  EXPECT_GT(a.stats.visited_bytes, 0u);
+  for (const ReductionPolicy reduction :
+       {ReductionPolicy::Off, ReductionPolicy::SourceDpor}) {
+    for (const int depth : {12, 14, 16, 20}) {
+      SCOPED_TRACE(std::string(name(reduction)) + ", depth " +
+                   std::to_string(depth));
+      const Explorer explorer(
+          window_config("peterson-2p", 2, depth, reduction));
+      const Explorer::Result a = explorer.run(&seq);
+      const Explorer::Result b = explorer.run(&par);
+      EXPECT_EQ(a.stats.restores, b.stats.restores);
+      EXPECT_EQ(a.stats.value_replayed_steps, b.stats.value_replayed_steps);
+      EXPECT_EQ(a.stats.visited_bytes, b.stats.visited_bytes);
+      EXPECT_EQ(a.stats.sims_built,
+                1 + std::min<std::uint64_t>(a.stats.work_items, 1));
+      EXPECT_EQ(b.stats.sims_built,
+                1 + std::min<std::uint64_t>(b.stats.work_items, 4));
+      EXPECT_GT(a.stats.visited_bytes, 0u);
+    }
+  }
 }
 
 TEST(Explorer, VisitedPruningOnlyDropsRedundantWork) {
