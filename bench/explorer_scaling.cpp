@@ -538,7 +538,7 @@ int main(int argc, char** argv) {
               {"states_visited", cfc::bench::jv(a.states_visited)}});
   }
 
-  // --- 6. The --study-out payload: a fixed pair of source-dpor studies
+  // --- 6. The --study-out payload: a fixed pair of certified studies
   // run on the --threads runner, serialized timing-free. CI invokes this
   // bench at --threads 1 and --threads 4 and byte-compares the two files
   // (`cmp`) as the cross-process determinism gate.

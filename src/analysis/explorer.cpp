@@ -246,6 +246,11 @@ class DfsEngine {
     keys_.append_keys(out, root_key_);
   }
 
+  /// Frees the worker's visited keys when its task ends a wave: the next
+  /// item starts from an empty cache anyway, and an idle engine then holds
+  /// no table while the wave barrier grows the shared one.
+  void release_keys() { keys_.release(); }
+
  private:
   /// The search a walk serves, selected by the entry point.
   enum class Role : std::uint8_t {
@@ -788,7 +793,8 @@ struct WaveContext {
 /// against `shared` when set; when `staged` is set, an item the state
 /// budget did not stop stages its keys in (*staged)[i]. Every task builds
 /// its engine, so the pool builds min(items, threads) Sims; after the
-/// `last` wave each task tallies and frees its engine.
+/// `last` wave each task tallies and frees its engine, after any other
+/// wave it frees the engine's visited keys.
 void run_wave(ExperimentRunner& eng, WaveContext& ctx,
               const std::vector<std::size_t>& wave, const VisitedKeys* shared,
               std::vector<std::vector<std::uint64_t>>* staged, bool last) {
@@ -854,6 +860,8 @@ void run_wave(ExperimentRunner& eng, WaveContext& ctx,
       ctx.sims_built.fetch_add(engine->sims_built(),
                                std::memory_order_relaxed);
       engine.reset();
+    } else {
+      engine->release_keys();
     }
   });
 }
@@ -862,7 +870,10 @@ void run_wave(ExperimentRunner& eng, WaveContext& ctx,
 /// in item index order, and frees the staging. Eviction is by whole waves:
 /// when the wave would push the table past kSharedTableKeys, every earlier
 /// wave is dropped first, and a wave larger than the whole budget is not
-/// published at all. Eviction only loses pruning, never coverage.
+/// published at all. Eviction only loses pruning, never coverage. The table
+/// grows once, to hold every staged key, before the merge: growing key by
+/// key would rehash through each size in between, with the old and the new
+/// array both live (the first wave stages the most keys).
 void publish_wave(const std::vector<std::size_t>& wave,
                   std::vector<std::vector<std::uint64_t>>& staged,
                   VisitedKeys& shared) {
@@ -873,8 +884,12 @@ void publish_wave(const std::vector<std::size_t>& wave,
   if (shared.size() + incoming > kSharedTableKeys) {
     shared.clear();
   }
+  const bool fits = incoming <= kSharedTableKeys;
+  if (fits) {
+    shared.reserve(shared.size() + incoming);
+  }
   for (const std::size_t i : wave) {
-    if (incoming <= kSharedTableKeys) {
+    if (fits) {
       for (const std::uint64_t key : staged[i]) {
         shared.insert(key);
       }

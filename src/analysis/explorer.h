@@ -19,8 +19,12 @@ namespace cfc {
 /// schedules whose values are provably duplicated by an explored one —
 /// which the POR differential suite asserts for every registry algorithm.
 enum class ReductionPolicy : std::uint8_t {
-  /// No reduction: every interleaving within the depth bound (the
-  /// unreduced reference search). The same planner/work-item walk as
+  /// No reduction: every interleaving within the depth bound. With
+  /// ExploreLimits::prune_visited (the default) the work items share their
+  /// visited keys in waves (see Explorer), and since a key folds each
+  /// process's whole history, that pruning already merges trace-equivalent
+  /// schedules. The default everywhere, certified Exhaustive searches built
+  /// through StudySpec included. The same planner/work-item walk as
   /// SourceDpor, minus the sleep transfer, the race detector and the
   /// cut-point insertions.
   Off,
@@ -29,9 +33,9 @@ enum class ReductionPolicy : std::uint8_t {
   /// conflicts + section-change adjacency, which makes the cf-session /
   /// clean-entry / exit window objectives trace-invariant), with
   /// race-driven source-set backtracking instead of full sibling
-  /// branching. The default for certified Exhaustive searches built
-  /// through StudySpec. Composes with the sleep-set-aware visited cache
-  /// (stateful DPOR) when ExploreLimits::prune_visited is on.
+  /// branching. Selected only on request (StudySpec::reduction). Composes
+  /// with the sleep-set-aware visited cache (stateful DPOR) when
+  /// ExploreLimits::prune_visited is on, but its items share no keys.
   SourceDpor,
 };
 
@@ -59,8 +63,8 @@ struct ExploreLimits {
   /// waves (see Explorer).
   bool prune_visited = true;
   /// The partial-order reduction applied to the search (src/por/; see
-  /// ReductionPolicy). Off by default at this layer; the Study layer
-  /// defaults its certified Exhaustive searches to SourceDpor. Under
+  /// ReductionPolicy). Off by default, at this layer and for the Study
+  /// layer's certified Exhaustive searches alike. Under
   /// SourceDpor prune_visited selects the *sleep-set-aware* cache
   /// (stateful DPOR): a revisit is skipped only when a stored visit's sleep
   /// set is a subset of the current one, and every skip still runs the
@@ -208,11 +212,12 @@ struct ExploreObjective {
 /// size, never derived from the thread count). An item of wave k prunes
 /// against its own cache and a table frozen for the wave, which holds the
 /// keys of every item of waves < k that the state budget did not stop;
-/// the wave's keys merge in item index order at the barrier. The table
-/// has a fixed byte budget, evicted by whole waves. Source-DPOR runs all
-/// its items as one wave with per-item caches only. Why sharing is sound
-/// unreduced and not yet under source-DPOR: DfsEngine::plan() in
-/// explorer.cpp.
+/// the wave's keys merge in item index order at the barrier, where the
+/// table grows once to hold them all; each worker frees its own cache when
+/// its task ends a wave. The table has a fixed byte budget, evicted by
+/// whole waves. Source-DPOR runs all its items as one wave with per-item
+/// caches only. Why sharing is sound unreduced and not yet under
+/// source-DPOR: DfsEngine::plan() in explorer.cpp.
 class Explorer {
  public:
   /// Rebuilds the simulation under exploration and returns an owner handle

@@ -180,15 +180,19 @@ bool VisitedKeys::contains(std::uint64_t raw_key) const {
   return slots_[find_slot(key)] == key;
 }
 
+void VisitedKeys::rehash(std::size_t slot_count) {
+  std::vector<std::uint64_t> old = std::move(slots_);
+  slots_.assign(slot_count, 0);
+  for (const std::uint64_t k : old) {
+    if (k != 0) {
+      slots_[find_slot(k)] = k;
+    }
+  }
+}
+
 bool VisitedKeys::insert(std::uint64_t raw_key) {
   if (needs_growth(used_, slots_.size())) {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(old.empty() ? kInitialCapacity : old.size() * 2, 0);
-    for (const std::uint64_t k : old) {
-      if (k != 0) {
-        slots_[find_slot(k)] = k;
-      }
-    }
+    rehash(slots_.empty() ? kInitialCapacity : slots_.size() * 2);
   }
   const std::uint64_t key = normalize_key(raw_key);
   std::uint64_t& slot = slots_[find_slot(key)];
@@ -202,6 +206,27 @@ bool VisitedKeys::insert(std::uint64_t raw_key) {
 
 void VisitedKeys::clear() {
   std::fill(slots_.begin(), slots_.end(), 0);
+  used_ = 0;
+}
+
+void VisitedKeys::reserve(std::size_t keys) {
+  if (keys == 0) {
+    return;
+  }
+  // insert grows when the keys already stored reach the load limit, so the
+  // last of `keys` inserts sees keys - 1 stored: double until that fits,
+  // landing on the size insert's own doubling would reach.
+  std::size_t slot_count = slots_.empty() ? kInitialCapacity : slots_.size();
+  while (needs_growth(keys - 1, slot_count)) {
+    slot_count *= 2;
+  }
+  if (slot_count != slots_.size()) {
+    rehash(slot_count);
+  }
+}
+
+void VisitedKeys::release() {
+  std::vector<std::uint64_t>().swap(slots_);
   used_ = 0;
 }
 

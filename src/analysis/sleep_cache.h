@@ -104,6 +104,13 @@ class VisitedKeys {
   /// Drops every key but keeps the slot array for reuse.
   void clear();
 
+  /// Grows the slot array once, straight to the size that holds `keys`
+  /// keys with no further growth (a no-op when it already does).
+  void reserve(std::size_t keys);
+
+  /// Drops every key and frees the slot array.
+  void release();
+
   /// Distinct keys stored.
   [[nodiscard]] std::size_t size() const { return used_; }
 
@@ -123,6 +130,7 @@ class VisitedKeys {
 
  private:
   [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;
+  void rehash(std::size_t slot_count);
 
   std::vector<std::uint64_t> slots_;  ///< 0 = empty (key 0 is remapped)
   std::size_t used_ = 0;

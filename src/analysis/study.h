@@ -125,9 +125,10 @@ struct StudySpec {
   StudySpec& sample_pids(int max_pids);
   StudySpec& contention_free();
   StudySpec& worst_case();
-  /// Selects the strategy; an Exhaustive search additionally defaults to
-  /// the source-dpor reduction policy (the certified searches' default —
-  /// override with reduction() or a full options struct).
+  /// Selects the strategy and keeps the reduction policy, so a certified
+  /// Exhaustive search runs the unreduced, wave-shared search
+  /// (ReductionPolicy::Off) unless reduction() or a full options struct
+  /// picks source-dpor.
   StudySpec& worst_case(SearchStrategy s);
   StudySpec& worst_case(const WorstCaseSearchOptions& options);
   /// The partial-order-reduction policy of the DFS strategies.
@@ -197,15 +198,16 @@ struct StudyResult {
   /// strategies; Random reports Off), serialized as both "policy" and
   /// "requested". Counters: races the source-DPOR race detector found over
   /// executed traces, backtrack points it inserted (source-set + cut-point
-  /// placements), enabled branches the sleep sets skipped, and subtrees
-  /// the visited caches pruned (under SourceDpor: the sleep-set-aware
-  /// SleepCache hits of stateful DPOR).
+  /// placements) and enabled branches the sleep sets skipped (all three 0
+  /// under Off, the certified default), and subtrees the visited caches
+  /// pruned (under SourceDpor: the sleep-set-aware SleepCache hits of
+  /// stateful DPOR).
   ReductionPolicy wc_reduction = ReductionPolicy::Off;
   std::uint64_t races_detected = 0;
   std::uint64_t backtrack_points = 0;
   std::uint64_t sleep_blocked = 0;
   std::uint64_t cache_hits = 0;
-  /// Parallel source-DPOR: work items the planner emitted and rewind
+  /// The parallel DFS: work items the planner emitted and rewind
   /// marks the engines captured at branching nodes. Thread-count
   /// invariant, like every counter here (the deliberately thread-DEPENDENT
   /// counters — steals, sims_built — are excluded from study results, so

@@ -4,8 +4,9 @@
 // and the violation verdict — to the unreduced exhaustive search, for
 // every registry mutex and detector algorithm at n = 2..3, including
 // crash injection, on the sequential reference engine and a thread pool.
-// This differential is the acceptance gate that lets certified searches
-// default to the reduced tree.
+// Certified searches default to the unreduced search; these suites keep
+// source-DPOR, selectable through StudySpec::reduction, checked against
+// it.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -259,6 +260,39 @@ TEST(PorDifferential, DetectorWithCrashInjection) {
   }
 }
 
+TEST(PorDifferential, DefaultMatchesSourceDporAtTheCertifyFrontier) {
+  // The suites above stop at n=3. A certified study defaults to the
+  // unreduced search; at n=4 (6-14k states under the default) it must
+  // still certify what source-DPOR certifies, on the sequential reference
+  // engine and on a pool, where its items share visited keys in waves.
+  ExperimentRunner seq(1);
+  ExperimentRunner pool(4);
+  for (const char* subject : {"peterson-tree", "tas-lock", "kessels-tree"}) {
+    const StudySpec spec = StudySpec::of(subject)
+                               .kind(StudyKind::Mutex)
+                               .n(4)
+                               .worst_case(SearchStrategy::Exhaustive)
+                               .depth(10);
+    StudySpec dpor_spec = spec;
+    dpor_spec.reduction(ReductionPolicy::SourceDpor);
+    for (ExperimentRunner* runner : {&seq, &pool}) {
+      const std::string what = std::string(subject) + " n=4 threads=" +
+                               std::to_string(runner->thread_count());
+      SCOPED_TRACE(what);
+      const StudyResult off = run_study(spec, runner);
+      const StudyResult dpor = run_study(dpor_spec, runner);
+      EXPECT_EQ(off.wc_reduction, ReductionPolicy::Off);
+      EXPECT_EQ(dpor.wc_reduction, ReductionPolicy::SourceDpor);
+      expect_reports_equal(off.wc_entry, dpor.wc_entry, what + " / entry");
+      expect_reports_equal(off.wc_exit, dpor.wc_exit, what + " / exit");
+      expect_reports_equal(off.wc, dpor.wc, what + " / total");
+      EXPECT_TRUE(off.certified);
+      EXPECT_EQ(off.certified, dpor.certified);
+      EXPECT_EQ(off.truncated, dpor.truncated);
+    }
+  }
+}
+
 TEST(PorDifferential, SourceDporReducesTheUnprunedTree) {
   const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
   expect_source_dpor_reduces(
@@ -318,13 +352,12 @@ std::string study_json_at(const StudySpec& spec, int threads) {
 /// the determinism contract of the work-stealing DFS path, under either
 /// reduction policy.
 void expect_json_thread_invariant(const StudySpec& spec,
-                                  const std::string& what,
-                                  ReductionPolicy policy =
-                                      ReductionPolicy::SourceDpor) {
+                                  const std::string& what) {
   const std::string reference = study_json_at(spec, 1);
   // The reference payload really exercised the parallel path under the
-  // expected policy.
-  EXPECT_NE(reference.find("\"policy\": \"" + std::string(name(policy)) +
+  // spec's policy.
+  EXPECT_NE(reference.find("\"policy\": \"" +
+                           std::string(name(spec.search.limits.reduction)) +
                            "\""),
             std::string::npos)
       << what;
@@ -346,6 +379,7 @@ TEST(PorStudyJson, MutexByteIdenticalAcrossThreadCounts) {
                              .kind(StudyKind::Mutex)
                              .n(n)
                              .worst_case(SearchStrategy::Exhaustive)
+                             .reduction(ReductionPolicy::SourceDpor)
                              .depth(depth);
         if (crash) {
           // Process 0 crashes at its 3rd access attempt (mid-entry).
@@ -370,6 +404,7 @@ TEST(PorStudyJson, DetectorByteIdenticalAcrossThreadCounts) {
                              .kind(StudyKind::Detector)
                              .n(n)
                              .worst_case(SearchStrategy::Exhaustive)
+                             .reduction(ReductionPolicy::SourceDpor)
                              .depth(depth);
         if (crash) {
           spec.crash({1});
@@ -384,10 +419,12 @@ TEST(PorStudyJson, DetectorByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(PorStudyJson, UnreducedByteIdenticalAcrossThreadCounts) {
-  // The unreduced search runs on the same planner and work-stealing pool:
-  // its payloads obey the same contract. At n=2 the planner emits at most
-  // 16 items; the n=3 cells emit 15-33, so their items run in at least two
-  // waves that share visited keys.
+  // The unreduced search, the default of a certified study, runs on the
+  // same planner and work-stealing pool: its payloads obey the same
+  // contract. The specs are default-built, so the sweep covers what users
+  // run. At n=2 the planner emits at most 16 items; the n=3 cells emit
+  // 15-33, so their items run in at least two waves that share visited
+  // keys.
   struct Cell {
     std::string name;
     int n;
@@ -405,12 +442,12 @@ TEST(PorStudyJson, UnreducedByteIdenticalAcrossThreadCounts) {
                                .kind(StudyKind::Mutex)
                                .n(c.n)
                                .worst_case(SearchStrategy::Exhaustive)
-                               .depth(12)
-                               .reduction(ReductionPolicy::Off);
+                               .depth(12);
     const std::string what =
         c.name + " n=" + std::to_string(c.n) + " off exhaustive";
     SCOPED_TRACE(what);
-    expect_json_thread_invariant(spec, what, ReductionPolicy::Off);
+    EXPECT_EQ(spec.search.limits.reduction, ReductionPolicy::Off);
+    expect_json_thread_invariant(spec, what);
   }
 }
 

@@ -4,7 +4,8 @@
 // unordered_map<key, vector<mask>>, across random workloads, key
 // collisions on probe chains, inline overflow into the spill pool, and
 // growth/rehash — on sleep masks up to the full 32-bit width. VisitedKeys,
-// the mask-free key set of the unreduced search, against a std::set.
+// the mask-free key set of the unreduced search, against a std::set,
+// through growth, reserve, clear and release.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -253,6 +254,73 @@ TEST(VisitedKeys, MatchesSetThroughGrowthClearAndKeyZero) {
     EXPECT_EQ(keys.size(), 0u);
     EXPECT_EQ(keys.bytes(), reserved);
   }
+
+  // The same set semantics through the sizing calls.
+  keys.release();
+  const auto insert_batch = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t key = i % 5 == 0 ? rng() % 200 : rng();
+      ASSERT_EQ(keys.contains(key), oracle.count(key) == 1) << key;
+      EXPECT_EQ(keys.insert(key), oracle.insert(key).second) << key;
+    }
+  };
+  const auto expect_members = [&] {
+    EXPECT_EQ(keys.size(), oracle.size());
+    for (const std::uint64_t key : oracle) {
+      EXPECT_TRUE(keys.contains(key)) << key;
+    }
+  };
+
+  // reserve(0) allocates nothing. A reservation on an empty table sizes
+  // the array as insert's own doubling would for that many keys, and the
+  // inserts it covers never grow it.
+  keys.reserve(0);
+  EXPECT_EQ(keys.bytes(), 0u);
+  keys.reserve(3000);
+  const std::size_t reserved = keys.bytes();
+  VisitedKeys grown;
+  for (std::uint64_t k = 1; k <= 3000; ++k) {
+    grown.insert(k);
+  }
+  EXPECT_EQ(reserved, grown.bytes());
+  insert_batch(3000);
+  EXPECT_EQ(keys.bytes(), reserved);
+  expect_members();
+
+  // Reserving past the current size rehashes every stored key; reserving
+  // what already fits changes nothing.
+  keys.reserve(keys.size() + 20000);
+  EXPECT_GT(keys.bytes(), reserved);
+  expect_members();
+  const std::size_t regrown = keys.bytes();
+  keys.reserve(10);
+  EXPECT_EQ(keys.bytes(), regrown);
+  insert_batch(20000);
+  EXPECT_EQ(keys.bytes(), regrown);
+  expect_members();
+
+  // clear() keeps the array; key 0 still behaves like any key after it.
+  keys.clear();
+  oracle.clear();
+  EXPECT_EQ(keys.bytes(), regrown);
+  EXPECT_FALSE(keys.contains(0));
+  EXPECT_TRUE(keys.insert(0));
+  oracle.insert(0);
+  EXPECT_FALSE(keys.insert(0));
+  EXPECT_TRUE(keys.contains(0));
+  insert_batch(500);
+  expect_members();
+
+  // release() frees the array; the table then grows again from empty.
+  keys.release();
+  oracle.clear();
+  EXPECT_EQ(keys.size(), 0u);
+  EXPECT_EQ(keys.bytes(), 0u);
+  EXPECT_FALSE(keys.contains(0));
+  EXPECT_TRUE(keys.insert(0));
+  oracle.insert(0);
+  insert_batch(1000);
+  expect_members();
 }
 
 }  // namespace

@@ -356,52 +356,57 @@ TEST(Campaign, ResolutionErrorsSurfaceOnTheCallingThread) {
 
 // --- The reduction policy at the study level. ---
 
-TEST(StudyReduction, ExhaustiveDefaultsToSourceDporAndSurfacesCounters) {
-  // StudySpec::worst_case(Exhaustive) selects the reduced certified
+TEST(StudyReduction, ExhaustiveDefaultsToOffAndSurfacesCounters) {
+  // StudySpec::worst_case(Exhaustive) selects the unreduced, wave-shared
   // search; the reduction identity and counters surface in the result
-  // (and its canonical JSON), and the certified values match the
-  // unreduced tree's — the POR differential suite proves that wholesale,
-  // this spot-checks the study integration.
-  const StudyResult r = run_study(StudySpec::of("peterson-2p")
-                                      .kind(StudyKind::Mutex)
-                                      .n(2)
-                                      .worst_case(SearchStrategy::Exhaustive)
-                                      .depth(14));
-  EXPECT_EQ(r.wc_reduction, ReductionPolicy::SourceDpor);
+  // (and its canonical JSON), and the certified values match source-DPOR's
+  // — the POR differential suite proves that wholesale, this spot-checks
+  // the study integration.
+  const auto spec = [] {
+    return StudySpec::of("peterson-2p")
+        .kind(StudyKind::Mutex)
+        .n(2)
+        .worst_case(SearchStrategy::Exhaustive)
+        .depth(14);
+  };
+  const StudyResult r = run_study(spec());
+  EXPECT_EQ(r.wc_reduction, ReductionPolicy::Off);
   EXPECT_TRUE(r.certified);
-  EXPECT_GT(r.races_detected, 0u);
-  EXPECT_GT(r.backtrack_points, 0u);
-  const std::string json = to_json(r);
-  EXPECT_NE(json.find("\"policy\": \"source-dpor\""), std::string::npos);
+  EXPECT_EQ(r.races_detected, 0u);
+  EXPECT_GT(r.work_items, 0u);
+  EXPECT_GT(r.restore_marks, 0u);
+  EXPECT_GT(r.cache_hits, 0u);
+  EXPECT_NE(to_json(r).find("\"policy\": \"off\""), std::string::npos);
 
-  const StudyResult off = run_study(StudySpec::of("peterson-2p")
-                                        .kind(StudyKind::Mutex)
-                                        .n(2)
-                                        .worst_case(SearchStrategy::Exhaustive)
-                                        .depth(14)
-                                        .reduction(ReductionPolicy::Off));
-  EXPECT_EQ(off.wc_reduction, ReductionPolicy::Off);
-  EXPECT_EQ(off.races_detected, 0u);
-  expect_reports_equal(r.wc_entry, off.wc_entry, "entry vs unreduced");
-  expect_reports_equal(r.wc_exit, off.wc_exit, "exit vs unreduced");
-  EXPECT_EQ(r.certified, off.certified);
-  // Distinct reduction policies must not deduplicate into one task.
-  Campaign campaign;
-  campaign.add(StudySpec::of("peterson-2p")
-                   .kind(StudyKind::Mutex)
-                   .n(2)
-                   .worst_case(SearchStrategy::Exhaustive)
-                   .depth(14));
-  campaign.add(StudySpec::of("peterson-2p")
-                   .kind(StudyKind::Mutex)
-                   .n(2)
-                   .worst_case(SearchStrategy::Exhaustive)
-                   .depth(14)
-                   .reduction(ReductionPolicy::Off));
-  CampaignStats stats;
-  (void)campaign.run(nullptr, &stats);
-  EXPECT_EQ(stats.tasks_planned, 2u);
-  EXPECT_EQ(stats.tasks_deduplicated, 0u);
+  const StudyResult dpor =
+      run_study(spec().reduction(ReductionPolicy::SourceDpor));
+  EXPECT_EQ(dpor.wc_reduction, ReductionPolicy::SourceDpor);
+  EXPECT_GT(dpor.races_detected, 0u);
+  EXPECT_GT(dpor.backtrack_points, 0u);
+  EXPECT_NE(to_json(dpor).find("\"policy\": \"source-dpor\""),
+            std::string::npos);
+  expect_reports_equal(dpor.wc_entry, r.wc_entry, "entry vs source-dpor");
+  expect_reports_equal(dpor.wc_exit, r.wc_exit, "exit vs source-dpor");
+  EXPECT_EQ(dpor.certified, r.certified);
+
+  // Distinct reduction policies must not deduplicate into one task; the
+  // default and an explicit `off` are one policy, so they must.
+  const struct {
+    ReductionPolicy paired;
+    std::size_t planned;
+    std::size_t deduplicated;
+  } pairs[] = {{ReductionPolicy::SourceDpor, 2, 0},
+               {ReductionPolicy::Off, 1, 1}};
+  for (const auto& pair : pairs) {
+    SCOPED_TRACE(name(pair.paired));
+    Campaign campaign;
+    campaign.add(spec());
+    campaign.add(spec().reduction(pair.paired));
+    CampaignStats stats;
+    (void)campaign.run(nullptr, &stats);
+    EXPECT_EQ(stats.tasks_planned, pair.planned);
+    EXPECT_EQ(stats.tasks_deduplicated, pair.deduplicated);
+  }
 }
 
 }  // namespace
